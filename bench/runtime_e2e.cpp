@@ -19,6 +19,7 @@
 #include "bench_common.h"
 #include "core/trace.h"
 #include "runtime/cluster.h"
+#include "runtime/outcome.h"
 
 namespace {
 
@@ -129,11 +130,11 @@ int main(int argc, char** argv) {
                           [&](const runtime::Cluster::MessageOutcome& res) {
                               if (!res.true_drop_hop.has_value()) return;
                               ++targeted_total;
-                              const auto& culprit =
-                                  overlay_net
-                                      .member(res.route[*res.true_drop_hop])
-                                      .id();
-                              if (res.blamed == culprit) ++targeted_correct;
+                              if (runtime::classify_outcome(res,
+                                                            overlay_net) ==
+                                  runtime::OutcomeClass::kCorrect) {
+                                  ++targeted_correct;
+                              }
                           });
             sim.run_until(sim.now() + 90 * util::kSecond);
         }
@@ -178,26 +179,20 @@ int main(int argc, char** argv) {
                 rng.uniform_index(overlay_net.size()));
             cluster.send(from, util::NodeId::random(rng),
                          [&](const runtime::Cluster::MessageOutcome& res) {
-                             if (res.delivered) {
+                             const runtime::OutcomeClass cls =
+                                 runtime::classify_outcome(res, overlay_net);
+                             if (cls == runtime::OutcomeClass::kDelivered) {
                                  ++delivered;
                                  return;
                              }
+                             const bool correct =
+                                 cls == runtime::OutcomeClass::kCorrect;
                              if (res.true_drop_hop.has_value()) {
-                                 const auto& culprit =
-                                     overlay_net
-                                         .member(res.route[*res.true_drop_hop])
-                                         .id();
-                                 if (res.blamed == culprit) {
-                                     ++correct_forwarder;
-                                 } else {
-                                     ++wrong_forwarder;
-                                 }
+                                 ++(correct ? correct_forwarder
+                                            : wrong_forwarder);
                              } else if (res.true_network_drop) {
-                                 if (res.network_blamed) {
-                                     ++correct_network;
-                                 } else {
-                                     ++wrong_network;
-                                 }
+                                 ++(correct ? correct_network
+                                            : wrong_network);
                              } else {
                                  ++undiagnosed;
                              }

@@ -12,7 +12,7 @@
 //   soak_daemon --trace weeks.trace [--checkpoint-dir DIR] [--metrics-out F]
 //
 // The per-day table decomposes the run through the daemon.*.by_hour series;
-// tools/check_daemon.py gates the end-of-run metrics in the nightly lane.
+// tools/check_soak.py gates the end-of-run metrics in the nightly lane.
 
 #include <cstdio>
 #include <cstdlib>

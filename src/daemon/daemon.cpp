@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "runtime/outcome.h"
 #include "util/metrics.h"
 
 namespace concilium::daemon {
@@ -345,45 +346,33 @@ void Daemon::complete_message(const runtime::Cluster::MessageOutcome& res) {
     auto& ins = instruments();
     ++score_.completed;
     health_completed_.store(score_.completed, std::memory_order_relaxed);
-    if (res.delivered) {
+    const runtime::OutcomeClass cls =
+        runtime::classify_outcome(res, world_->overlay_net());
+    if (cls == runtime::OutcomeClass::kDelivered) {
         ++score_.delivered;
         ins.messages_delivered.add(1);
         return;
     }
     ++score_.diagnosed;
     ins.messages_diagnosed.add(1);
-    if (res.insufficient_evidence) {
-        ++score_.insufficient;
-        ins.insufficient_outcomes.add(1);
-        return;
-    }
-    if (res.true_drop_hop.has_value()) {
-        // A forwarder ate it; naming exactly that node is correct, naming
-        // anyone else is a false accusation (soak_recovery's rule).
-        const util::NodeId& culprit =
-            world_->overlay_net()
-                .member(res.route[*res.true_drop_hop])
-                .id();
-        if (res.blamed == culprit) {
+    switch (cls) {
+        case runtime::OutcomeClass::kAbstained:
+            ++score_.insufficient;
+            ins.insufficient_outcomes.add(1);
+            break;
+        case runtime::OutcomeClass::kCorrect:
             ++score_.correct_attributions;
             ins.correct_attributions.add(1);
-        } else if (res.blamed.has_value()) {
+            break;
+        case runtime::OutcomeClass::kFalseAccusation:
             ++score_.false_accusations;
             ins.false_accusations.add(1);
             ins.false_by_hour.observe(sim_.now());
-        }
-    } else {
-        // The IP network ate the message (or its ack): blaming the network
-        // is right, blaming any node is the failure mode the paper is
-        // engineered to avoid.
-        if (res.blamed.has_value()) {
-            ++score_.false_accusations;
-            ins.false_accusations.add(1);
-            ins.false_by_hour.observe(sim_.now());
-        } else if (res.network_blamed) {
-            ++score_.correct_attributions;
-            ins.correct_attributions.add(1);
-        }
+            break;
+        case runtime::OutcomeClass::kDelivered:
+        case runtime::OutcomeClass::kUnscored:
+        case runtime::OutcomeClass::kMissed:
+            break;
     }
 }
 

@@ -17,6 +17,7 @@
 
 #include "daemon/daemon.h"
 #include "daemon/workload.h"
+#include "scratch_dir.h"
 #include "util/time.h"
 
 namespace concilium::daemon {
@@ -58,14 +59,7 @@ DaemonOptions test_options(std::string checkpoint_dir) {
     return opts;
 }
 
-/// A fresh, empty scratch directory under the system temp dir.
-fs::path scratch_dir(const std::string& name) {
-    const fs::path dir =
-        fs::temp_directory_path() / "concilium_daemon_test" / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
+using concilium::testutil::scratch_dir;
 
 std::string slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
@@ -156,7 +150,7 @@ TEST(Checkpoint, LatestCheckpointFilePicksTheHighestClock) {
     write_atomic((dir / "notes.txt").string(), "not a checkpoint\n");
 
     EXPECT_EQ(latest_checkpoint_file(dir.string()), name(late));
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 // The tentpole contract: SIGKILL-shaped interruption (stop mid-run, start
@@ -227,7 +221,8 @@ TEST(DaemonResume, StoppedAndResumedRunMatchesUninterruptedByteForByte) {
         ++compared;
     }
     EXPECT_GT(compared, 0u);
-    fs::remove_all(ref_dir.parent_path());
+    fs::remove_all(ref_dir);
+    fs::remove_all(cut_dir);
 }
 
 TEST(DaemonResume, RefusesGeometryAndTraceMismatches) {
@@ -268,7 +263,7 @@ TEST(DaemonResume, RefusesGeometryAndTraceMismatches) {
                             test_options(dir.string())),
                      std::invalid_argument);
     }
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 TEST(CheckpointChain, SkipsTmpQuarantinedAndForeignFiles) {
@@ -297,7 +292,7 @@ TEST(CheckpointChain, SkipsTmpQuarantinedAndForeignFiles) {
     EXPECT_EQ(chain[0], newest);
     EXPECT_EQ(chain[1], oldest);
     EXPECT_EQ(latest_checkpoint_file(dir.string()), newest);
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 TEST(CheckpointChain, PruneKeepsTheNewestAndSparesQuarantine) {
@@ -320,7 +315,7 @@ TEST(CheckpointChain, PruneKeepsTheNewestAndSparesQuarantine) {
     EXPECT_NE(chain[1].find(std::to_string(4 * kMinute)), std::string::npos);
     EXPECT_TRUE(
         fs::exists(dir / "checkpoint-7.ckpt.quarantined-truncated"));
-    fs::remove_all(dir.parent_path());
+    fs::remove_all(dir);
 }
 
 // The self-healing contract (DAEMON.md "Durability under storage faults"):
@@ -340,11 +335,18 @@ class DaemonSelfHeal : public ::testing::Test {
     }
 
     static void TearDownTestSuite() {
-        fs::remove_all(ref_dir_->parent_path());
+        if (ref_dir_ != nullptr) fs::remove_all(*ref_dir_);
         delete ref_dir_;
         delete ref_state_;
         ref_dir_ = nullptr;
         ref_state_ = nullptr;
+    }
+
+    void SetUp() override {
+        // A failed reference run leaves the fixture empty; fail each test
+        // instead of dereferencing it.
+        ASSERT_NE(ref_state_, nullptr)
+            << "the reference run in SetUpTestSuite failed";
     }
 
     /// A fresh copy of the reference checkpoint directory.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology_gen.h"
+#include "runtime/outcome.h"
 
 namespace concilium::runtime {
 namespace {
@@ -611,6 +612,66 @@ TEST(Cluster, BehaviorSizeMismatchRejected) {
     EXPECT_THROW(world.make_cluster(RuntimeParams{},
                                     std::vector<NodeBehavior>(3)),
                  std::invalid_argument);
+}
+
+// The single ground-truth scorer (runtime/outcome.h): one case per class,
+// plus the boundaries between them.
+TEST(ClassifyOutcome, TableOfGroundTruthCases) {
+    RuntimeWorld world;
+    const overlay::OverlayNetwork& net = *world.overlay;
+    const std::vector<MemberIndex> route = {3, 7, 11, 19};
+    const util::NodeId dropper = net.member(route[2]).id();
+    const util::NodeId innocent = net.member(route[1]).id();
+
+    struct Case {
+        const char* name;
+        std::optional<std::size_t> drop_hop;
+        bool network_drop;
+        bool delivered;
+        bool insufficient;
+        bool network_blamed;
+        std::optional<util::NodeId> blamed;
+        OutcomeClass want;
+    };
+    using C = OutcomeClass;
+    const Case cases[] = {
+        {"delivered", {}, false, true, false, false, {}, C::kDelivered},
+        {"abstention on a forwarder drop", 2, false, false, true, false, {},
+         C::kAbstained},
+        {"abstention without ground truth", {}, false, false, true, false, {},
+         C::kAbstained},
+        {"no ground truth, a node blamed", {}, false, false, false, false,
+         innocent, C::kUnscored},
+        {"no ground truth, the network blamed", {}, false, false, false, true,
+         {}, C::kUnscored},
+        {"forwarder drop, the dropper blamed", 2, false, false, false, false,
+         dropper, C::kCorrect},
+        {"network drop, the network blamed", {}, true, false, false, true, {},
+         C::kCorrect},
+        {"forwarder drop, another node blamed", 2, false, false, false, false,
+         innocent, C::kFalseAccusation},
+        {"network drop, a node blamed", {}, true, false, false, false,
+         innocent, C::kFalseAccusation},
+        {"forwarder drop, the network blamed", 2, false, false, false, true,
+         {}, C::kMissed},
+        {"forwarder drop, nothing blamed", 2, false, false, false, false, {},
+         C::kMissed},
+        {"network drop, nothing blamed", {}, true, false, false, false, {},
+         C::kMissed},
+        {"a hop dropped what the network let through on retry", 2, true,
+         false, false, false, dropper, C::kCorrect},
+    };
+    for (const Case& c : cases) {
+        Cluster::MessageOutcome outcome;
+        outcome.route = route;
+        outcome.true_drop_hop = c.drop_hop;
+        outcome.true_network_drop = c.network_drop;
+        outcome.delivered = c.delivered;
+        outcome.insufficient_evidence = c.insufficient;
+        outcome.network_blamed = c.network_blamed;
+        outcome.blamed = c.blamed;
+        EXPECT_EQ(classify_outcome(outcome, net), c.want) << c.name;
+    }
 }
 
 }  // namespace

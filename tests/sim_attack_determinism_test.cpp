@@ -1,7 +1,8 @@
 // Soak: the attack pipeline -- campaign materialization, the Byzantine
 // cluster roles, proof filing, and the defense counters -- must be
 // byte-reproducible at any worker count.  This is the in-process version of
-// the nightly `soak_attacks --jobs 1` vs `--jobs 4` artifact comparison.
+// the nightly `soak --attack ... --jobs 1` vs `--jobs 4` artifact
+// comparison.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +26,7 @@ std::string metrics_section() {
     return json.substr(0, cut);
 }
 
-/// A miniature soak_attacks: per-trial recruitment from the trial
+/// A miniature attack soak: per-trial recruitment from the trial
 /// substream, a cluster under campaign roles, a paced message workload, and
 /// a printable row.  Returns the concatenated rows (merged in trial order).
 std::string run_soak(const Scenario& world, std::size_t jobs) {

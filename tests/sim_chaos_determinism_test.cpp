@@ -1,7 +1,7 @@
 // Soak: the full chaos pipeline -- scenario-built fault plan, cluster with
 // retry/backoff, per-packet effects -- must be byte-reproducible at any
 // worker count.  This is the in-process version of the nightly
-// `soak_chaos --jobs 1` vs `--jobs 4` artifact comparison.
+// `soak --chaos ... --jobs 1` vs `--jobs 4` artifact comparison.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ std::string metrics_section() {
     return json.substr(0, cut);
 }
 
-/// A miniature soak_chaos: per-trial fault plan from the trial substream, a
+/// A miniature chaos soak: per-trial fault plan from the trial substream, a
 /// chaos-attached cluster, a paced message workload, and a printable row.
 /// Returns the concatenated rows (merged in trial order by the driver).
 std::string run_soak(const Scenario& world, std::size_t jobs) {

@@ -1,7 +1,7 @@
 // Soak: the crash/partition recovery pipeline -- journaled restarts,
 // recovery handshakes, degraded-mode judgments, heal-time resync -- must
 // be byte-reproducible at any worker count.  This is the in-process
-// version of the nightly `soak_recovery --jobs 1` vs `--jobs 4` artifact
+// version of the nightly recovery sweep's `--jobs 1` vs `--jobs 4` artifact
 // comparison.
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ std::string metrics_section() {
     return json.substr(0, cut);
 }
 
-/// A miniature soak_recovery: per-trial crash/partition plan from the
+/// A miniature recovery soak: per-trial crash/partition plan from the
 /// trial substream, a recovery-enabled cluster, a paced workload, and a
 /// printable row.  Returns the concatenated rows (merged in trial order).
 std::string run_soak(const Scenario& world, std::size_t jobs) {

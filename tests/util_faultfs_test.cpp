@@ -15,17 +15,15 @@
 #include <fstream>
 #include <string>
 
+#include "scratch_dir.h"
+
 namespace concilium::util {
 namespace {
 
 namespace fs = std::filesystem;
 
 std::string scratch_dir(const char* name) {
-    const fs::path dir = fs::temp_directory_path() /
-                         (std::string("concilium_faultfs_") + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
+    return testutil::scratch_dir(name).string();
 }
 
 std::string slurp(const std::string& path) {

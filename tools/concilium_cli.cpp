@@ -28,6 +28,7 @@
 #include "net/topology_gen.h"
 #include "overlay/density.h"
 #include "runtime/cluster.h"
+#include "runtime/outcome.h"
 #include "sim/experiments.h"
 #include "sim/scenario.h"
 #include "util/json.h"
@@ -195,20 +196,15 @@ int run_demo(const Options& o, bool print_summary) {
             rng.uniform_index(world.overlay_net().size()));
         cluster.send(from, util::NodeId::random(rng),
                      [&](const runtime::Cluster::MessageOutcome& out) {
-                         if (out.delivered) {
+                         const runtime::OutcomeClass cls =
+                             runtime::classify_outcome(out,
+                                                       world.overlay_net());
+                         if (cls == runtime::OutcomeClass::kDelivered) {
                              ++delivered;
                              return;
                          }
                          ++judged;
-                         if (out.true_drop_hop.has_value()) {
-                             if (out.blamed ==
-                                 world.overlay_net()
-                                     .member(out.route[*out.true_drop_hop])
-                                     .id()) {
-                                 ++correct;
-                             }
-                         } else if (out.true_network_drop &&
-                                    out.network_blamed) {
+                         if (cls == runtime::OutcomeClass::kCorrect) {
                              ++correct;
                          }
                      });

@@ -1,10 +1,10 @@
-"""Shared plumbing for the soak gate scripts.
+"""Shared plumbing for the gate scripts.
 
-check_chaos.py, check_attacks.py, and check_recovery.py all read a
-`--metrics-out` snapshot, pull a handful of counters, and fail the build
-when a scored rate crosses a threshold.  The thresholds and the scoring
-stay in each gate; the snapshot loading, counter access, and uniform
-error reporting live here so the three scripts cannot drift apart.
+check_soak.py and check_faultfs.py fail the build on what a run left
+behind.  The snapshot loading, counter and series access, uniform error
+reporting and the flight-recorder dump live here; the thresholds and the
+scoring live in each gate (check_soak.py keeps every soak's thresholds in
+one table).
 """
 
 import json
@@ -45,13 +45,6 @@ def counter_reader(metrics, path, die, producer):
         return value
 
     return counter
-
-
-def require_activity(diagnosed, minimum, die):
-    """Fail a silently idle soak instead of green-lighting it."""
-    if diagnosed < minimum:
-        die(f"only {diagnosed} messages diagnosed "
-            f"(need >= {minimum}); the soak ran effectively idle")
 
 
 def series_reader(metrics, path, die, producer):
