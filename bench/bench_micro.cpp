@@ -2,9 +2,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "sim/experiment_driver.h"
 #include "tomography/inference.h"
 #include "tomography/probing.h"
+#include "tomography/verification.h"
 #include "util/rng.h"
 
 namespace {
@@ -144,6 +147,8 @@ BENCHMARK(BM_EventSimPodDispatch);
 
 void BM_EventSimCallbackDispatch(benchmark::State& state) {
     // The legacy std::function slab path, for comparison with POD dispatch.
+    // The protocol runtime no longer rides it per event; tests, the
+    // daemon's trace injection and perfbench still do.
     net::EventSim sim;
     std::uint64_t fired = 0;
     std::function<void()> chain;
@@ -207,6 +212,81 @@ void BM_MincInference(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_MincInference);
+
+// One member's probe tree on a generated medium topology: an end host and
+// 28 others (the runtime's typical routing-peer count), with fractional
+// per-link pass probabilities drawn at run time so nothing constant-folds.
+struct ProbeKernel {
+    ProbeKernel() {
+        util::Rng rng(12);
+        topo = net::generate_topology(net::medium_params(), rng);
+        const auto hosts = topo.end_hosts();
+        std::vector<net::RouterId> dsts;
+        const std::size_t stride = hosts.size() / 29;
+        for (std::size_t i = 1; i <= 28; ++i) dsts.push_back(hosts[i * stride]);
+        const net::PathOracle oracle(topo);
+        tree.emplace(hosts[0], oracle.paths_from(hosts[0], dsts));
+        pass_by_link.resize(topo.link_count());
+        for (double& p : pass_by_link) p = rng.uniform(0.97, 1.0);
+        pass = [this](net::LinkId l, util::SimTime) {
+            return pass_by_link[l];
+        };
+    }
+
+    /// The runtime's heavyweight path (Cluster::run_heavyweight): a session,
+    /// feedback verification, then MINC on the surviving feedback.
+    [[nodiscard]] std::size_t heavyweight(util::SimTime t0,
+                                          util::Rng& rng) const {
+        const auto session = tomography::run_heavyweight_session(
+            *tree, pass, t0, tomography::HeavyweightParams{.probe_count = 100},
+            {}, rng);
+        const auto fabricators = tomography::detect_fabricators(
+            tree->leaves().size(), session.probes);
+        const auto suppressors = tomography::detect_suppressors(
+            *tree, session.probes, tomography::SuppressionTestParams{});
+        const auto inference =
+            tomography::infer_link_loss(*tree, session.probes);
+        return fabricators.size() + suppressors.size() +
+               inference.links.size();
+    }
+
+    net::Topology topo;
+    std::optional<tomography::ProbeTree> tree;
+    std::vector<double> pass_by_link;
+    tomography::PassProbabilityFn pass;
+};
+
+const ProbeKernel& probe_kernel() {
+    static const ProbeKernel kernel;
+    return kernel;
+}
+
+void BM_StripedProbe(benchmark::State& state) {
+    const ProbeKernel& k = probe_kernel();
+    util::Rng rng(13);
+    util::SimTime t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            tomography::sample_striped_probe(*k.tree, k.pass, t, {}, rng));
+        t += 50 * util::kMillisecond;
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["tree_nodes"] =
+        static_cast<double>(k.tree->nodes().size());
+}
+BENCHMARK(BM_StripedProbe);
+
+void BM_HeavyweightSession(benchmark::State& state) {
+    const ProbeKernel& k = probe_kernel();
+    util::Rng rng(14);
+    util::SimTime t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(k.heavyweight(t, rng));
+        t += util::kMinute;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HeavyweightSession)->Unit(benchmark::kMicrosecond);
 
 void BM_DhtPutGet(benchmark::State& state) {
     const auto net = make_net(300, 8);
@@ -305,10 +385,36 @@ int main(int argc, char** argv) {
     }
     benchmark::RunSpecifiedBenchmarks();
 
-    // Perf trajectory: a fixed-size POD event-dispatch measurement, written
-    // as BENCH_micro.json for tools/check_perf.py.  Independent of
-    // --benchmark_filter so the gated number is always comparable.
+    // Perf trajectory: fixed-size POD event-dispatch and probing-kernel
+    // measurements, written as BENCH_micro.json for tools/check_perf.py.
+    // Independent of --benchmark_filter so the gated numbers are always
+    // comparable.
     if (!bench_out.empty()) {
+        using Clock = std::chrono::steady_clock;
+        const auto rate = [](double count, Clock::time_point since) {
+            const double s =
+                std::chrono::duration<double>(Clock::now() - since).count();
+            return s > 0.0 ? count / s : 0.0;
+        };
+        const ProbeKernel& kernel = probe_kernel();  // built off the clock
+        concilium::util::Rng rng(15);
+        constexpr int kStripes = 20000;
+        auto start = Clock::now();
+        std::size_t sink = 0;
+        for (int i = 0; i < kStripes; ++i) {
+            sink += concilium::tomography::sample_striped_probe(
+                        *kernel.tree, kernel.pass, i * 1000, {}, rng)
+                        .received.size();
+        }
+        const double stripes_per_sec = rate(kStripes, start);
+        constexpr int kSessions = 200;
+        start = Clock::now();
+        for (int i = 0; i < kSessions; ++i) {
+            sink += kernel.heavyweight(i * concilium::util::kMinute, rng);
+        }
+        const double sessions_per_sec = rate(kSessions, start);
+        benchmark::DoNotOptimize(sink);
+
         concilium::bench::BenchReport report("micro");
         concilium::net::EventSim sim;
         PodChain chain;
@@ -318,6 +424,8 @@ int main(int argc, char** argv) {
         // 64 chains x one event per 100 us => ~12.8M events over 20 sim-s.
         sim.run_until(20'000'000);
         report.finish();
+        report.set("stripes_per_sec", stripes_per_sec);
+        report.set("heavyweight_sessions_per_sec", sessions_per_sec);
         report.write(bench_out);
     }
     return 0;

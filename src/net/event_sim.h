@@ -15,8 +15,9 @@
 // deterministic ordering while keeping per-operation cost near O(1) at
 // full-SCAN queue depths.  Events are 40-byte POD records — a registered
 // handler id plus three integer operands — so the hot path never allocates.
-// The legacy std::function API remains for setup-time and test convenience;
-// callbacks park in an internal slab and ride a reserved handler.
+// The legacy std::function API remains for tests, trace injection and rare
+// control messages; callbacks park in an internal slab and ride a reserved
+// handler.
 //
 // Determinism contract: for any schedule of post/schedule calls, dispatch
 // order is a pure function of the (time, sequence) pairs — bucket placement

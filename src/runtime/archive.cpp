@@ -1,27 +1,43 @@
 #include "runtime/archive.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace concilium::runtime {
 
 ArchiveAdd SnapshotArchive::add(tomography::TomographicSnapshot snapshot,
-                                util::SimTime now, DigestId digest_id) {
+                                util::SimTime now, DigestId digest_id,
+                                overlay::MemberIndex origin_member) {
     if (now - snapshot.probed_at > max_transit_) {
         return ArchiveAdd::kRejectedStale;
     }
-    OriginTable* table = nullptr;
-    const auto it = slot_of_.find(snapshot.origin);
-    if (it != slot_of_.end()) table = &origins_[it->second];
-    if (snapshot.epoch != 0 && table != nullptr &&
-        snapshot.epoch <= table->newest_epoch) {
+    std::uint32_t slot = kNoSlot;
+    if (origin_member < slot_of_member_.size()) {
+        slot = slot_of_member_[origin_member];
+    }
+    if (slot == kNoSlot) {
+        const auto it = slot_of_.find(snapshot.origin);
+        if (it != slot_of_.end()) slot = it->second;
+    } else if (!(origins_[slot].origin == snapshot.origin)) {
+        throw std::invalid_argument(
+            "SnapshotArchive::add: origin_member names another origin");
+    }
+    if (snapshot.epoch != 0 && slot != kNoSlot &&
+        snapshot.epoch <= origins_[slot].newest_epoch) {
         return ArchiveAdd::kRejectedEpoch;
     }
-    if (table == nullptr) {
-        slot_of_.emplace(snapshot.origin,
-                         static_cast<std::uint32_t>(origins_.size()));
+    if (slot == kNoSlot) {
+        slot = static_cast<std::uint32_t>(origins_.size());
+        slot_of_.emplace(snapshot.origin, slot);
         origins_.push_back(OriginTable{snapshot.origin, {}, {}, 0});
-        table = &origins_.back();
     }
+    if (origin_member != kNoMember) {
+        if (origin_member >= slot_of_member_.size()) {
+            slot_of_member_.resize(std::size_t{origin_member} + 1, kNoSlot);
+        }
+        slot_of_member_[origin_member] = slot;
+    }
+    OriginTable* table = &origins_[slot];
     if (snapshot.epoch != 0) table->newest_epoch = snapshot.epoch;
 
     if (digest_id == util::DigestInterner::kInvalidId && interner_ != nullptr) {
@@ -64,28 +80,57 @@ const SnapshotArchive::OriginTable* SnapshotArchive::table_of(
     return it == slot_of_.end() ? nullptr : &origins_[it->second];
 }
 
+const SnapshotArchive::OriginTable* SnapshotArchive::table_of(
+    overlay::MemberIndex origin) const {
+    if (origin >= slot_of_member_.size()) return nullptr;
+    const std::uint32_t slot = slot_of_member_[origin];
+    return slot == kNoSlot ? nullptr : &origins_[slot];
+}
+
+std::ptrdiff_t SnapshotArchive::row_of(const OriginTable* table,
+                                       std::uint64_t epoch) {
+    if (table == nullptr || epoch == 0 || epoch > table->newest_epoch) {
+        return -1;
+    }
+    // Newest-first over the compact meta rows; recent epochs are the common
+    // probe.  Epoch-0 rows are unversioned and never match.
+    for (std::size_t i = table->meta.size(); i-- > 0;) {
+        const std::uint64_t e = table->meta[i].epoch;
+        if (e > epoch) continue;
+        if (e == epoch) return static_cast<std::ptrdiff_t>(i);
+        if (e != 0) break;  // evicted or pruned
+    }
+    return -1;
+}
+
 const tomography::TomographicSnapshot* SnapshotArchive::find(
     const util::NodeId& origin, std::uint64_t epoch) const {
-    if (epoch == 0) return nullptr;
     const OriginTable* table = table_of(origin);
-    if (table == nullptr) return nullptr;
-    // Scan newest-first over the compact meta rows; recent epochs are the
-    // common probe.
-    for (std::size_t i = table->meta.size(); i-- > 0;) {
-        if (table->meta[i].epoch == epoch) return &table->snaps[i];
-    }
-    return nullptr;
+    const std::ptrdiff_t row = row_of(table, epoch);
+    return row < 0 ? nullptr : &table->snaps[static_cast<std::size_t>(row)];
+}
+
+const tomography::TomographicSnapshot* SnapshotArchive::find(
+    overlay::MemberIndex origin, std::uint64_t epoch) const {
+    const OriginTable* table = table_of(origin);
+    const std::ptrdiff_t row = row_of(table, epoch);
+    return row < 0 ? nullptr : &table->snaps[static_cast<std::size_t>(row)];
 }
 
 SnapshotArchive::DigestId SnapshotArchive::digest_of(
     const util::NodeId& origin, std::uint64_t epoch) const {
-    if (epoch == 0) return util::DigestInterner::kInvalidId;
     const OriginTable* table = table_of(origin);
-    if (table == nullptr) return util::DigestInterner::kInvalidId;
-    for (std::size_t i = table->meta.size(); i-- > 0;) {
-        if (table->meta[i].epoch == epoch) return table->meta[i].digest;
-    }
-    return util::DigestInterner::kInvalidId;
+    const std::ptrdiff_t row = row_of(table, epoch);
+    return row < 0 ? util::DigestInterner::kInvalidId
+                   : table->meta[static_cast<std::size_t>(row)].digest;
+}
+
+SnapshotArchive::DigestId SnapshotArchive::digest_of(
+    overlay::MemberIndex origin, std::uint64_t epoch) const {
+    const OriginTable* table = table_of(origin);
+    const std::ptrdiff_t row = row_of(table, epoch);
+    return row < 0 ? util::DigestInterner::kInvalidId
+                   : table->meta[static_cast<std::size_t>(row)].digest;
 }
 
 util::SimTime SnapshotArchive::query_horizon(util::SimTime t,

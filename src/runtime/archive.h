@@ -19,12 +19,15 @@
 //
 // Storage is index-addressed: origins resolve once to a dense slot at the
 // admission boundary, and per-origin state lives in parallel
-// structure-of-arrays tables.  A compact per-entry Meta row (epoch, interned
-// payload digest, probe time) serves the scanning queries -- epoch lookups
-// and cross-peer digest comparison never touch the snapshot payloads
-// themselves.  Pruning is throttled to a fraction of the retention window
-// instead of running a full scan on every insert; queries enforce the
-// retention horizon exactly either way.
+// structure-of-arrays tables.  Callers that know the origin's overlay
+// MemberIndex pass it at admission; the archive then also resolves that
+// index to the slot through a dense vector, so the cluster's per-delivery
+// equivocation lookups never hash a NodeId.  A compact per-entry Meta row
+// (epoch, interned payload digest, probe time) serves the scanning queries
+// -- epoch lookups and cross-peer digest comparison never touch the
+// snapshot payloads themselves.  Pruning is throttled to a fraction of the
+// retention window instead of running a full scan on every insert; queries
+// enforce the retention horizon exactly either way.
 
 #pragma once
 
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "core/blame.h"
+#include "overlay/jump_table.h"
 #include "tomography/snapshot.h"
 #include "util/arena.h"
 #include "util/ids.h"
@@ -52,6 +56,9 @@ enum class ArchiveAdd {
 class SnapshotArchive {
   public:
     using DigestId = util::DigestInterner::Id;
+    /// "Origin index not supplied" marker for add().
+    static constexpr overlay::MemberIndex kNoMember =
+        ~overlay::MemberIndex{0};
 
     /// retention: snapshots older than now - retention are pruned on insert
     /// and filtered out of queries.
@@ -80,9 +87,12 @@ class SnapshotArchive {
     /// signed payload when the caller already computed it (publication
     /// interns once; deliveries reuse it); pass kInvalidId to let the
     /// archive intern, or to skip digest bookkeeping entirely when no
-    /// interner is bound.
+    /// interner is bound.  `origin_member`, when given, must be the dense
+    /// overlay index of snapshot.origin; it makes the origin answerable to
+    /// the MemberIndex overloads of find() and digest_of().
     ArchiveAdd add(tomography::TomographicSnapshot snapshot, util::SimTime now,
-                   DigestId digest_id = util::DigestInterner::kInvalidId);
+                   DigestId digest_id = util::DigestInterner::kInvalidId,
+                   overlay::MemberIndex origin_member = kNoMember);
 
     /// The archived snapshot from `origin` with exactly this (non-zero)
     /// epoch, or nullptr.  The lookup behind cross-peer digest comparison:
@@ -90,12 +100,18 @@ class SnapshotArchive {
     /// have caught an equivocator.
     [[nodiscard]] const tomography::TomographicSnapshot* find(
         const util::NodeId& origin, std::uint64_t epoch) const;
+    /// Same lookup by the origin's MemberIndex (as passed to add()).
+    [[nodiscard]] const tomography::TomographicSnapshot* find(
+        overlay::MemberIndex origin, std::uint64_t epoch) const;
 
     /// The interned payload-digest id archived for (origin, epoch), or
     /// kInvalidId when absent.  Two peers returning different valid ids for
     /// the same (origin, epoch) hold conflicting payloads -- the cheap
     /// first-pass equivocation test that avoids re-serializing snapshots.
     [[nodiscard]] DigestId digest_of(const util::NodeId& origin,
+                                     std::uint64_t epoch) const;
+    /// Same lookup by the origin's MemberIndex (as passed to add()).
+    [[nodiscard]] DigestId digest_of(overlay::MemberIndex origin,
                                      std::uint64_t epoch) const;
 
     /// All archived probe results covering any link in `links`, initiated in
@@ -142,6 +158,13 @@ class SnapshotArchive {
     [[nodiscard]] util::SimTime query_horizon(util::SimTime t,
                                               util::SimTime delta) const;
     [[nodiscard]] const OriginTable* table_of(const util::NodeId& origin) const;
+    [[nodiscard]] const OriginTable* table_of(
+        overlay::MemberIndex origin) const;
+    /// Row of (non-zero) `epoch` in the table, or -1.  Admission keeps
+    /// non-zero epochs strictly increasing, so the newest-first scan stops
+    /// at the first smaller one.
+    [[nodiscard]] static std::ptrdiff_t row_of(const OriginTable* table,
+                                               std::uint64_t epoch);
 
     util::SimTime retention_;
     util::SimTime max_transit_;
@@ -150,6 +173,9 @@ class SnapshotArchive {
     /// NodeId -> slot, resolved once at the admission/query boundary.
     std::unordered_map<util::NodeId, std::uint32_t, util::NodeIdHash>
         slot_of_;  // hot-path-lint: boundary
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    /// MemberIndex -> slot (kNoSlot when unknown), filled at admission.
+    std::vector<std::uint32_t> slot_of_member_;
     util::DigestInterner* interner_ = nullptr;
     /// Simulation time starts at zero, so zero means "never pruned".
     util::SimTime last_prune_ = 0;

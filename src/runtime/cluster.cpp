@@ -106,23 +106,78 @@ void Cluster::dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
         case Op::kMaybeComplete:
             self->maybe_complete(b);
             break;
+        case Op::kDeliverSnapshot:
+            self->deliver_snapshot(
+                static_cast<overlay::MemberIndex>(b),
+                *self->unpark(static_cast<std::uint32_t>(c)));
+            break;
+        case Op::kSnapshotRetry:
+            self->send_snapshot(static_cast<overlay::MemberIndex>(b),
+                                self->unpark(static_cast<std::uint32_t>(
+                                    c & 0xffffffffu)),
+                                static_cast<int>(c >> 32));
+            break;
+        case Op::kColludeRevision:
+            self->push_fabricated_revision(b, static_cast<std::size_t>(c));
+            break;
+        case Op::kChurnLeave:
+            ++self->stats_.churn_leaves;
+            bump("runtime.churn_leaves");
+            self->set_online(static_cast<overlay::MemberIndex>(b), false);
+            break;
+        case Op::kChurnRejoin:
+            ++self->stats_.churn_rejoins;
+            bump("runtime.churn_rejoins");
+            self->set_online(static_cast<overlay::MemberIndex>(b), true);
+            break;
+        case Op::kCrash:
+            self->crash_node(static_cast<overlay::MemberIndex>(b));
+            break;
+        case Op::kRestart:
+            self->restart_node(static_cast<overlay::MemberIndex>(b));
+            break;
+        case Op::kPartitionStart:
+            ++self->stats_.partition_activations;
+            bump("partition.activations");
+            break;
+        case Op::kPartitionHeal:
+            self->heal_partition();
+            break;
+        case Op::kResyncRound: {
+            const auto m = static_cast<overlay::MemberIndex>(b);
+            if (!self->online_[m]) break;
+            ++self->stats_.resync_rounds;
+            bump("partition.resync_rounds");
+            self->probe_round_once(m);
+            break;
+        }
     }
+}
+
+std::uint32_t Cluster::park(std::shared_ptr<const PublishedSnapshot> snapshot) {
+    if (free_parcels_.empty()) {
+        parcels_.push_back(std::move(snapshot));
+        return static_cast<std::uint32_t>(parcels_.size() - 1);
+    }
+    const std::uint32_t slot = free_parcels_.back();
+    free_parcels_.pop_back();
+    parcels_[slot] = std::move(snapshot);
+    return slot;
+}
+
+std::shared_ptr<const Cluster::PublishedSnapshot> Cluster::unpark(
+    std::uint32_t slot) {
+    auto snapshot = std::move(parcels_[slot]);
+    parcels_[slot] = nullptr;
+    free_parcels_.push_back(slot);
+    return snapshot;
 }
 
 void Cluster::schedule_churn() {
     for (const net::ChurnEvent& ev : chaos_->churn) {
         if (ev.node >= net_->size()) continue;
-        const auto node = static_cast<overlay::MemberIndex>(ev.node);
-        sim_->schedule_at(ev.leave, [this, node] {
-            ++stats_.churn_leaves;
-            bump("runtime.churn_leaves");
-            set_online(node, false);
-        });
-        sim_->schedule_at(ev.rejoin, [this, node] {
-            ++stats_.churn_rejoins;
-            bump("runtime.churn_rejoins");
-            set_online(node, true);
-        });
+        post_at(ev.leave, Op::kChurnLeave, ev.node);
+        post_at(ev.rejoin, Op::kChurnRejoin, ev.node);
     }
 }
 
@@ -141,16 +196,12 @@ util::SimTime Cluster::chaos_extra_delay(double rate,
 void Cluster::schedule_recovery_faults() {
     for (const net::CrashEvent& ev : chaos_->crashes) {
         if (ev.node >= net_->size()) continue;
-        const auto node = static_cast<overlay::MemberIndex>(ev.node);
-        sim_->schedule_at(ev.crash, [this, node] { crash_node(node); });
-        sim_->schedule_at(ev.restart, [this, node] { restart_node(node); });
+        post_at(ev.crash, Op::kCrash, ev.node);
+        post_at(ev.restart, Op::kRestart, ev.node);
     }
     for (const net::PartitionEvent& ev : chaos_->partitions) {
-        sim_->schedule_at(ev.start, [this] {
-            ++stats_.partition_activations;
-            bump("partition.activations");
-        });
-        sim_->schedule_at(ev.heal, [this] { heal_partition(); });
+        post_at(ev.start, Op::kPartitionStart);
+        post_at(ev.heal, Op::kPartitionHeal);
     }
 }
 
@@ -243,7 +294,7 @@ void Cluster::recovery_handshake(
             bump("partition.control_blocked");
             continue;
         }
-        sim_->schedule_after(
+        sim_->schedule_after(  // hot-path-lint: cold
             params_.control_latency, [this, peer, announcement] {
                 accept_recovery_announcement(peer, announcement);
             });
@@ -293,7 +344,7 @@ void Cluster::recovery_handshake(
                     const StewardHandoff handoff = make_steward_handoff(
                         net_->member(m).id(), s.message_id, s.hop,
                         crashed_at_[m], now, net_->member(m).keys);
-                    sim_->schedule_after(
+                    sim_->schedule_after(  // hot-path-lint: cold
                         params_.control_latency,
                         [this, id = s.message_id, hop, handoff] {
                             deliver_handoff(id, hop - 1, handoff);
@@ -362,12 +413,7 @@ void Cluster::heal_partition() {
         if (!online_[m]) continue;
         const auto stagger = static_cast<util::SimTime>(m % 64) *
                              (25 * util::kMillisecond);
-        sim_->schedule_after(stagger, [this, m] {
-            if (!online_[m]) return;
-            ++stats_.resync_rounds;
-            bump("partition.resync_rounds");
-            probe_round_once(m);
-        });
+        post(stagger, Op::kResyncRound, m);
     }
 }
 
@@ -603,22 +649,27 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
         return transport_.pass_probability(link, t);
     };
     const auto behaviors = leaf_behaviors(m);
-    const auto session = tomography::run_heavyweight_session(
+    auto session = tomography::run_heavyweight_session(
         tree, pass, sim_->now(), params_.heavyweight, behaviors, rng_);
 
     // Feedback verification (Section 3.3): exclude fabricators (invalid
     // nonces) and suppressors (implausible conditional ack rates) before
-    // inference.
+    // inference.  Most sessions exclude nobody; the rest clear the flagged
+    // leaves' acks in place instead of copying every stripe.
     const auto fabricators =
         tomography::detect_fabricators(tree.leaves().size(), session.probes);
     const auto suppressors = tomography::detect_suppressors(
         tree, session.probes, tomography::SuppressionTestParams{});
     std::vector<bool> excluded(tree.leaves().size(), false);
+    bool any_excluded = false;
     for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
         excluded[leaf] = fabricators[leaf] || suppressors[leaf];
+        any_excluded = any_excluded || excluded[leaf];
     }
-    const auto cleaned = tomography::exclude_leaves(session.probes, excluded);
-    const auto inference = tomography::infer_link_loss(tree, cleaned);
+    if (any_excluded) {
+        tomography::exclude_leaves(session.probes, excluded);
+    }
+    const auto inference = tomography::infer_link_loss(tree, session.probes);
     auto snapshot = tomography::make_snapshot(
         net_->member(m).id(), net_->member(m).keys, sim_->now(), tree,
         inference, params_.snapshot, trees_->leaf_ids(m));
@@ -626,8 +677,6 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
     // An excluded leaf's silenced feedback makes its last mile *look* dead;
     // links that are only observable through excluded leaves carry no
     // evidence and must not be reported at all.
-    bool any_excluded = false;
-    for (const bool e : excluded) any_excluded = any_excluded || e;
     if (any_excluded) {
         std::unordered_map<net::LinkId, bool> observable;
         for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
@@ -671,7 +720,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         ++stats_.replays_published;
         bump("attack.replays_published");
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-            send_snapshot(m, peer, nodes_[m].replay_stash, 1);
+            send_snapshot(peer, nodes_[m].replay_stash, 1);
         }
         return;
     }
@@ -704,7 +753,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
     // delivery below (and the node's own archive) reuses the sealed slab.
     const auto pub = seal(m, std::move(snapshot));
     if (b.replay_snapshots) nodes_[m].replay_stash = pub;
-    nodes_[m].archive.add(pub->snapshot, sim_->now(), pub->digest_id);
+    nodes_[m].archive.add(pub->snapshot, sim_->now(), pub->digest_id, m);
     if (b.equivocate_snapshots) {
         // Equivocator: alternate peers get a fully link-flipped twin signed
         // over the *same* origin+epoch.  Any two peers comparing digests now
@@ -715,7 +764,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
             const std::size_t r = rank++;
             send_snapshot(
-                m, peer,
+                peer,
                 r % 2 == 0
                     ? pub
                     : seal(m, equivocation_variant(m, pub->snapshot, r)),
@@ -724,7 +773,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         return;
     }
     for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
-        send_snapshot(m, peer, pub, 1);
+        send_snapshot(peer, pub, 1);
     }
 }
 
@@ -751,21 +800,22 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
     if (proofs_filed_.contains({origin_m, snapshot.epoch})) return;
     // Digest exchange: compare the interned payload-digest id just archived
     // at `holder` against what the origin's other routing peers hold for the
-    // same epoch.  Ids come from the cluster-wide interner, so agreement is
-    // a single integer compare; only a mismatch -- an actual payload
+    // same epoch.  Peers' archives resolve the origin by member index and
+    // ids come from the cluster-wide interner, so agreement is a vector
+    // index plus a single integer compare; only a mismatch -- an actual payload
     // conflict -- pays for building and verifying the full proof.  Both
     // copies carry the origin's valid signature, so the conflict *is* the
     // proof, no trust in either peer required.
     for (const overlay::MemberIndex peer : net_->routing_peers(origin_m)) {
         if (peer == holder || !online_[peer]) continue;
         const SnapshotArchive::DigestId other_digest =
-            nodes_[peer].archive.digest_of(snapshot.origin, snapshot.epoch);
+            nodes_[peer].archive.digest_of(origin_m, snapshot.epoch);
         if (other_digest == util::DigestInterner::kInvalidId ||
             other_digest == published.digest_id) {
             continue;  // peer lacks the epoch, or holds the same payload
         }
         const tomography::TomographicSnapshot* other =
-            nodes_[peer].archive.find(snapshot.origin, snapshot.epoch);
+            nodes_[peer].archive.find(origin_m, snapshot.epoch);
         if (other == nullptr) continue;
         core::EquivocationProof proof{*other, snapshot};
         if (core::verify_equivocation_proof(
@@ -784,40 +834,43 @@ void Cluster::detect_equivocation(overlay::MemberIndex holder,
     }
 }
 
-void Cluster::send_snapshot(overlay::MemberIndex m,
-                            overlay::MemberIndex peer,
+void Cluster::deliver_snapshot(overlay::MemberIndex peer,
+                               const PublishedSnapshot& published) {
+    // Same check as tomography::verify_snapshot, memoized on the sealed
+    // payload digest: the identical (key, digest, signature) triple arrives
+    // at every routing peer of the origin.
+    const crypto::PublicKey key =
+        net_->member(published.origin_m).keys.public_key();
+    if (!verify_cache_.verify(key, published.digest, published.payload,
+                              published.snapshot.signature)) {
+        ++stats_.snapshots_rejected;
+        bump("runtime.snapshots_rejected");
+        return;
+    }
+    switch (nodes_[peer].archive.add(published.snapshot, sim_->now(),
+                                     published.digest_id,
+                                     published.origin_m)) {
+        case ArchiveAdd::kArchived:
+            detect_equivocation(peer, published);
+            break;
+        case ArchiveAdd::kRejectedStale:
+            ++stats_.snapshots_rejected_stale;
+            bump("defense.snapshots_rejected_stale");
+            break;
+        case ArchiveAdd::kRejectedEpoch:
+            ++stats_.snapshots_rejected_epoch;
+            bump("defense.snapshots_rejected_epoch");
+            break;
+    }
+}
+
+void Cluster::send_snapshot(overlay::MemberIndex peer,
                             std::shared_ptr<const PublishedSnapshot> snapshot,
                             int attempt) {
-    const auto deliver = [this, peer, pub = snapshot] {
-        // Same check as tomography::verify_snapshot, memoized on the sealed
-        // payload digest: the identical (key, digest, signature) triple
-        // arrives at every routing peer of the origin.
-        const crypto::PublicKey key =
-            net_->member(pub->origin_m).keys.public_key();
-        if (!verify_cache_.verify(key, pub->digest, pub->payload,
-                                  pub->snapshot.signature)) {
-            ++stats_.snapshots_rejected;
-            bump("runtime.snapshots_rejected");
-            return;
-        }
-        switch (nodes_[peer].archive.add(pub->snapshot, sim_->now(),
-                                         pub->digest_id)) {
-            case ArchiveAdd::kArchived:
-                detect_equivocation(peer, *pub);
-                break;
-            case ArchiveAdd::kRejectedStale:
-                ++stats_.snapshots_rejected_stale;
-                bump("defense.snapshots_rejected_stale");
-                break;
-            case ArchiveAdd::kRejectedEpoch:
-                ++stats_.snapshots_rejected_epoch;
-                bump("defense.snapshots_rejected_epoch");
-                break;
-        }
-    };
     if (chaos_ == nullptr) {
         // Lossless control plane (the paper's assumption).
-        sim_->schedule_after(params_.control_latency, deliver);
+        post(params_.control_latency, Op::kDeliverSnapshot, peer,
+             park(std::move(snapshot)));
         return;
     }
     // Under chaos the control plane shares the faulty IP network: the
@@ -825,6 +878,7 @@ void Cluster::send_snapshot(overlay::MemberIndex m,
     // exponential backoff, and abandoned once the budget is spent -- the
     // peer then simply lacks this snapshot, so the blame evidence it can
     // contribute degrades instead of the diagnosis wedging on it.
+    const overlay::MemberIndex m = snapshot->origin_m;
     if (!online_[m]) return;  // an offline origin stops retrying
     bump("runtime.retry.snapshot_attempts");
     util::SimTime latency = params_.control_latency;
@@ -840,7 +894,7 @@ void Cluster::send_snapshot(overlay::MemberIndex m,
         latency = std::max(latency, transport_.latency(path.size()));
     }
     if (delivered) {
-        sim_->schedule_after(latency, deliver);
+        post(latency, Op::kDeliverSnapshot, peer, park(std::move(snapshot)));
         return;
     }
     const int next = attempt + 1;
@@ -852,9 +906,8 @@ void Cluster::send_snapshot(overlay::MemberIndex m,
     ++stats_.snapshot_retries;
     bump("runtime.retry.snapshot_retries");
     const auto backoff = params_.snapshot_retry.delay_before(next, rng_);
-    sim_->schedule_after(backoff, [this, m, peer, snapshot, next] {
-        send_snapshot(m, peer, snapshot, next);
-    });
+    post(backoff, Op::kSnapshotRetry, peer,
+         static_cast<std::uint64_t>(next) << 32 | park(std::move(snapshot)));
 }
 
 // -------------------------------------------------------------- messaging
@@ -946,11 +999,8 @@ void Cluster::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
             // The colluder waits out the upstream timeout, then pushes a
             // fabricated guilty revision framing its next hop for the drop
             // it just committed.
-            sim_->schedule_after(
-                params_.ack_timeout + params_.judgment_grace,
-                [this, msg_id, hop] {
-                    push_fabricated_revision(msg_id, hop);
-                });
+            post(params_.ack_timeout + params_.judgment_grace,
+                 Op::kColludeRevision, msg_id, hop);
         }
         return;  // upstream stewards will time out
     }
@@ -1256,6 +1306,7 @@ void Cluster::push_revision_upstream(std::uint64_t msg_id, std::size_t hop) {
     // Each steward presents the verdict to its upstream neighbor, which
     // relays it further unless it withholds revisions itself (Section 3.5).
     const core::BlameEvidence evidence = *ctx.stewards[hop].judgment;
+    // hot-path-lint: cold
     sim_->schedule_after(params_.control_latency, [this, msg_id, evidence,
                                                    hop] {
         relay_revision(msg_id, evidence, hop - 1);
@@ -1271,7 +1322,7 @@ void Cluster::relay_revision(std::uint64_t msg_id,
     bump("runtime.revisions_applied");
     if (to_hop == 0) return;
     if (behavior(ctx.route[to_hop]).refuse_revisions) return;
-    sim_->schedule_after(params_.control_latency,
+    sim_->schedule_after(params_.control_latency,  // hot-path-lint: cold
                          [this, msg_id, evidence, to_hop] {
                              relay_revision(msg_id, evidence, to_hop - 1);
                          });
@@ -1303,7 +1354,7 @@ void Cluster::push_fabricated_revision(std::uint64_t msg_id,
     ev.judge_signature = net_->member(m).keys.sign(ev.signed_payload());
     ++stats_.collusions_pushed;
     bump("attack.collusions_pushed");
-    sim_->schedule_after(params_.control_latency,
+    sim_->schedule_after(params_.control_latency,  // hot-path-lint: cold
                          [this, msg_id, ev, hop] {
                              relay_revision(msg_id, ev, hop - 1);
                          });

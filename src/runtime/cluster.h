@@ -373,29 +373,50 @@ class Cluster {
     };
 
     // --- POD event dispatch ------------------------------------------------
-    /// Hot simulation events ride EventSim's POD queue: an op code plus two
-    /// integer operands, fanned out by one registered handler.  Rare
-    /// setup/control events (churn, crash schedules, snapshot deliveries
-    /// with their sealed payload slabs) stay on the callback API.
+    /// Simulation events ride EventSim's POD queue: an op code plus two
+    /// integer operands, fanned out by one registered handler.  Snapshot
+    /// deliveries carry their sealed slab through a parcel slot (see
+    /// park()).  Only the control messages that carry evidence by value --
+    /// revisions, steward handoffs, recovery announcements -- stay on the
+    /// callback API; they are rare and marked `hot-path-lint: cold`.
     enum class Op : std::uint32_t {
-        kProbeRound,     ///< b = member
-        kSlanderRound,   ///< b = member
-        kSpamRound,      ///< b = member
-        kPeerRefresh,    ///< b = member (heavyweight refresh, periodic gap)
-        kDeliverToHop,   ///< b = message, c = hop
-        kDeliverAck,     ///< b = message, c = hop
-        kAckTimeout,     ///< b = message, c = hop
-        kJudge,          ///< b = message, c = hop
-        kForwardRetry,   ///< b = message, c = hop << 32 | attempt
-        kMaybeComplete,  ///< b = message
+        kProbeRound,       ///< b = member
+        kSlanderRound,     ///< b = member
+        kSpamRound,        ///< b = member
+        kPeerRefresh,      ///< b = member (heavyweight refresh, periodic gap)
+        kDeliverToHop,     ///< b = message, c = hop
+        kDeliverAck,       ///< b = message, c = hop
+        kAckTimeout,       ///< b = message, c = hop
+        kJudge,            ///< b = message, c = hop
+        kForwardRetry,     ///< b = message, c = hop << 32 | attempt
+        kMaybeComplete,    ///< b = message
+        kDeliverSnapshot,  ///< b = peer, c = parcel
+        kSnapshotRetry,    ///< b = peer, c = attempt << 32 | parcel
+        kColludeRevision,  ///< b = message, c = hop
+        kChurnLeave,       ///< b = member
+        kChurnRejoin,      ///< b = member
+        kCrash,            ///< b = member
+        kRestart,          ///< b = member
+        kPartitionStart,
+        kPartitionHeal,
+        kResyncRound,      ///< b = member
     };
     static void dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
                                std::uint64_t c);
-    void post(util::SimTime delay, Op op, std::uint64_t b,
+    void post(util::SimTime delay, Op op, std::uint64_t b = 0,
               std::uint64_t c = 0) {
         sim_->post_after(delay, handler_, static_cast<std::uint32_t>(op), b,
                          c);
     }
+    void post_at(util::SimTime t, Op op, std::uint64_t b = 0,
+                 std::uint64_t c = 0) {
+        sim_->post_at(t, handler_, static_cast<std::uint32_t>(op), b, c);
+    }
+    /// Parks a sealed snapshot for an in-flight delivery; the returned
+    /// parcel slot travels in the event's operands.
+    std::uint32_t park(std::shared_ptr<const PublishedSnapshot> snapshot);
+    /// Takes the snapshot out of its parcel slot and recycles the slot.
+    std::shared_ptr<const PublishedSnapshot> unpark(std::uint32_t slot);
     /// Retry-timer body: re-send unless the ack landed in the meantime.
     void forward_retry(std::uint64_t msg_id, std::size_t hop, int attempt);
 
@@ -411,9 +432,14 @@ class Cluster {
     void run_heavyweight(overlay::MemberIndex m);
     void publish_snapshot(overlay::MemberIndex m,
                           tomography::TomographicSnapshot snapshot);
-    void send_snapshot(overlay::MemberIndex m, overlay::MemberIndex peer,
+    /// One delivery attempt of a sealed snapshot from its origin to `peer`.
+    void send_snapshot(overlay::MemberIndex peer,
                        std::shared_ptr<const PublishedSnapshot> snapshot,
                        int attempt);
+    /// Receipt at `peer`: signature check, archive admission, equivocation
+    /// check.
+    void deliver_snapshot(overlay::MemberIndex peer,
+                          const PublishedSnapshot& published);
 
     // --- attack campaign + evidence-integrity defenses ---------------------
     /// Equivocator variant for one peer: even peer ranks get the snapshot
@@ -553,6 +579,10 @@ class Cluster {
     core::DiagnosisTrace* trace_ = nullptr;
     const net::FaultPlan* chaos_ = nullptr;
     net::EventSim::HandlerId handler_ = 0;
+    /// Sealed snapshots of in-flight deliveries, by parcel slot, with a
+    /// free list (the idiom of EventSim's callback slab).
+    std::vector<std::shared_ptr<const PublishedSnapshot>> parcels_;
+    std::vector<std::uint32_t> free_parcels_;
 };
 
 }  // namespace concilium::runtime

@@ -1,7 +1,7 @@
 #include "tomography/probing.h"
 
+#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/metrics.h"
 
@@ -17,6 +17,97 @@ const LeafBehavior& behavior_of(std::span<const LeafBehavior> behaviors,
     return behaviors[leaf];
 }
 
+/// Probe-outcome totals, flushed to the tomography.* counters once per
+/// session instead of once per stripe.
+struct StripeTally {
+    std::int64_t stripes = 0;
+    std::int64_t issued = 0;
+    std::int64_t lost = 0;
+    std::int64_t acks = 0;
+    std::int64_t suppressed = 0;
+    std::int64_t fabricated = 0;
+
+    void flush() const {
+        using util::metrics::Registry;
+        static auto& stripes_c =
+            Registry::global().counter("tomography.stripes_sampled");
+        static auto& issued_c =
+            Registry::global().counter("tomography.probes_issued");
+        static auto& lost_c =
+            Registry::global().counter("tomography.probes_lost");
+        static auto& acks_c =
+            Registry::global().counter("tomography.probe_acks");
+        static auto& supp_c =
+            Registry::global().counter("tomography.acks_suppressed");
+        static auto& fab_c =
+            Registry::global().counter("tomography.acks_fabricated");
+        stripes_c.add(stripes);
+        issued_c.add(issued);
+        lost_c.add(lost);
+        acks_c.add(acks);
+        supp_c.add(suppressed);
+        fab_c.add(fabricated);
+    }
+};
+
+void check_behaviors(const ProbeTree& tree,
+                     std::span<const LeafBehavior> behaviors) {
+    if (!behaviors.empty() && behaviors.size() != tree.leaves().size()) {
+        throw std::invalid_argument(
+            "sample_striped_probe: behaviors must match leaf count");
+    }
+}
+
+/// One stripe as a single forward pass over the parent-ordered nodes.
+/// Node i >= 1 owns links()[i-1], so drawing each node's link in index
+/// order is exactly one Bernoulli draw per link in links() order, and a
+/// parent's delivery is settled before any of its children is visited.
+/// `reached` is caller-owned scratch, reused across a session's stripes.
+void sample_into(const ProbeTree& tree,
+                 const PassProbabilityFn& pass_probability, util::SimTime t,
+                 std::span<const LeafBehavior> behaviors, util::Rng& rng,
+                 std::vector<char>& reached, ProbeRecord& record,
+                 StripeTally& tally) {
+    // One Bernoulli draw per tree link models the stripe's multicast
+    // emulation: packets issued back to back share interior fate.
+    const auto& nodes = tree.nodes();
+    reached.resize(nodes.size());
+    reached[0] = 1;
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+        const ProbeTree::Node& node = nodes[i];
+        const bool passed = rng.bernoulli(pass_probability(node.via, t));
+        reached[i] = static_cast<char>(
+            reached[static_cast<std::size_t>(node.parent)] != 0 && passed);
+    }
+
+    const std::size_t n = tree.leaves().size();
+    record.received.assign(n, false);
+    record.acked.assign(n, false);
+    record.nonce_valid.assign(n, false);
+    const auto& leaf_nodes = tree.leaf_nodes();
+    for (std::size_t leaf = 0; leaf < n; ++leaf) {
+        const LeafBehavior& b = behavior_of(behaviors, leaf);
+        if (reached[static_cast<std::size_t>(leaf_nodes[leaf])] != 0) {
+            record.received[leaf] = true;
+            const bool suppressed = rng.bernoulli(b.suppress_ack_probability);
+            record.acked[leaf] = !suppressed;
+            record.nonce_valid[leaf] = !suppressed;
+            suppressed ? ++tally.suppressed : ++tally.acks;
+        } else {
+            ++tally.lost;
+            if (b.fabricate_acks) {
+                // The nonce travelled inside the lost probe; a fabricated ack
+                // cannot echo it (Section 3.3).
+                record.acked[leaf] = true;
+                record.nonce_valid[leaf] = false;
+                ++tally.fabricated;
+            }
+        }
+    }
+    ++tally.stripes;
+    tally.issued += static_cast<std::int64_t>(n);
+}
+
 }  // namespace
 
 ProbeRecord sample_striped_probe(const ProbeTree& tree,
@@ -24,89 +115,13 @@ ProbeRecord sample_striped_probe(const ProbeTree& tree,
                                  util::SimTime t,
                                  std::span<const LeafBehavior> behaviors,
                                  util::Rng& rng) {
-    if (!behaviors.empty() && behaviors.size() != tree.leaves().size()) {
-        throw std::invalid_argument(
-            "sample_striped_probe: behaviors must match leaf count");
-    }
-    // One Bernoulli draw per tree link models the stripe's multicast
-    // emulation: packets issued back to back share interior fate.
-    std::unordered_map<net::LinkId, bool> link_passed;
-    link_passed.reserve(tree.links().size());
-    for (const net::LinkId l : tree.links()) {
-        link_passed.emplace(l, rng.bernoulli(pass_probability(l, t)));
-    }
-
-    const std::size_t n = tree.leaves().size();
+    check_behaviors(tree, behaviors);
+    std::vector<char> reached;
     ProbeRecord record;
-    record.received.assign(n, false);
-    record.acked.assign(n, false);
-    record.nonce_valid.assign(n, false);
-
-    // Walk the tree once, propagating delivery.
-    std::vector<bool> reached(tree.nodes().size(), false);
-    reached[0] = true;
-    std::vector<int> stack{0};
-    while (!stack.empty()) {
-        const int n_idx = stack.back();
-        stack.pop_back();
-        const auto& node = tree.nodes()[static_cast<std::size_t>(n_idx)];
-        for (const int child : node.children) {
-            const auto& cn = tree.nodes()[static_cast<std::size_t>(child)];
-            if (reached[static_cast<std::size_t>(n_idx)] &&
-                link_passed.at(cn.via)) {
-                reached[static_cast<std::size_t>(child)] = true;
-            }
-            stack.push_back(child);
-        }
-        if (node.leaf_slot.has_value()) {
-            const auto slot = static_cast<std::size_t>(*node.leaf_slot);
-            record.received[slot] = reached[static_cast<std::size_t>(n_idx)];
-        }
-    }
-
-    std::int64_t lost = 0;
-    std::int64_t acks = 0;
-    std::int64_t suppressed_acks = 0;
-    std::int64_t fabricated_acks = 0;
-    for (std::size_t leaf = 0; leaf < n; ++leaf) {
-        const LeafBehavior& b = behavior_of(behaviors, leaf);
-        if (record.received[leaf]) {
-            const bool suppressed = rng.bernoulli(b.suppress_ack_probability);
-            record.acked[leaf] = !suppressed;
-            record.nonce_valid[leaf] = !suppressed;
-            suppressed ? ++suppressed_acks : ++acks;
-        } else {
-            ++lost;
-            if (b.fabricate_acks) {
-                // The nonce travelled inside the lost probe; a fabricated ack
-                // cannot echo it (Section 3.3).
-                record.acked[leaf] = true;
-                record.nonce_valid[leaf] = false;
-                ++fabricated_acks;
-            }
-        }
-    }
-
-    {
-        using util::metrics::Registry;
-        static auto& stripes =
-            Registry::global().counter("tomography.stripes_sampled");
-        static auto& issued =
-            Registry::global().counter("tomography.probes_issued");
-        static auto& lost_c =
-            Registry::global().counter("tomography.probes_lost");
-        static auto& acks_c = Registry::global().counter("tomography.probe_acks");
-        static auto& supp_c =
-            Registry::global().counter("tomography.acks_suppressed");
-        static auto& fab_c =
-            Registry::global().counter("tomography.acks_fabricated");
-        stripes.add(1);
-        issued.add(static_cast<std::int64_t>(n));
-        lost_c.add(lost);
-        acks_c.add(acks);
-        supp_c.add(suppressed_acks);
-        fab_c.add(fabricated_acks);
-    }
+    StripeTally tally;
+    sample_into(tree, pass_probability, t, behaviors, rng, reached, record,
+                tally);
+    tally.flush();
     return record;
 }
 
@@ -118,24 +133,28 @@ HeavyweightResult run_heavyweight_session(
         throw std::invalid_argument(
             "run_heavyweight_session: probe_count must be positive");
     }
+    check_behaviors(tree, behaviors);
     static auto& sessions = util::metrics::Registry::global().counter(
         "tomography.heavyweight_sessions");
     sessions.add(1);
     HeavyweightResult result;
     result.started_at = t0;
     result.ack_counts.assign(tree.leaves().size(), 0);
-    result.probes.reserve(static_cast<std::size_t>(params.probe_count));
+    result.probes.resize(static_cast<std::size_t>(params.probe_count));
+    std::vector<char> reached;
+    StripeTally tally;
     util::SimTime t = t0;
-    for (int i = 0; i < params.probe_count; ++i, t += params.spacing) {
-        ProbeRecord rec =
-            sample_striped_probe(tree, pass_probability, t, behaviors, rng);
+    for (ProbeRecord& rec : result.probes) {
+        sample_into(tree, pass_probability, t, behaviors, rng, reached, rec,
+                    tally);
         for (std::size_t leaf = 0; leaf < rec.acked.size(); ++leaf) {
             if (rec.acked[leaf] && rec.nonce_valid[leaf]) {
                 ++result.ack_counts[leaf];
             }
         }
-        result.probes.push_back(std::move(rec));
+        t += params.spacing;
     }
+    tally.flush();
     result.finished_at = t;
     return result;
 }

@@ -61,6 +61,14 @@ void ProbeTree::insert_path(std::span<const net::RouterId> routers,
             cur = idx;
         }
         if (seen_links.insert(link).second) links_.push_back(link);
+        // Node i owns links()[i-1]: a new router always arrives over a new
+        // link, and a known router over its own recorded uplink.  The
+        // striped-probe sampler draws links in node order on this basis.
+        if (links_.size() + 1 != nodes_.size() ||
+            links_.back() != nodes_.back().via) {
+            throw std::logic_error(
+                "ProbeTree: node/link ownership invariant broken");
+        }
     }
     // Terminal router of this path is a probed leaf endpoint.
     Node& endpoint = nodes_[static_cast<std::size_t>(cur)];

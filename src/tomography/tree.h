@@ -25,6 +25,10 @@
 namespace concilium::tomography {
 
 /// The IP-level tree spanning one host and its routing peers.
+///
+/// Nodes are stored flat and parent-first: every node's parent has a
+/// smaller index, so one forward pass over nodes() settles a parent before
+/// any of its children (the striped-probe sampler relies on this).
 class ProbeTree {
   public:
     struct Node {
@@ -56,9 +60,15 @@ class ProbeTree {
         return leaves_;
     }
 
-    /// All distinct links in the tree.
+    /// All distinct links in the tree.  Node i >= 1 owns links()[i-1]
+    /// (its `via`): a node and its uplink are always appended together.
     [[nodiscard]] const std::vector<net::LinkId>& links() const noexcept {
         return links_;
+    }
+
+    /// Tree-node index per leaf slot.
+    [[nodiscard]] const std::vector<int>& leaf_nodes() const noexcept {
+        return leaf_nodes_;
     }
 
     /// Tree-node index of a router, if present.

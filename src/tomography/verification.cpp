@@ -28,25 +28,38 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
     // The immediate parent is usually a pass-through router with a single
     // child, so we climb to the nearest ancestor that has leaf descendants
     // outside this leaf's own subtree.
-    for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
-        const auto node_idx = tree.node_of(tree.leaves()[leaf]);
-        if (!node_idx.has_value()) continue;
-
-        std::vector<int> own = tree.leaf_slots_under(*node_idx);
-        std::vector<bool> is_own(leaf_count, false);
-        for (const int s : own) is_own[static_cast<std::size_t>(s)] = true;
-
-        std::vector<int> siblings;
-        for (int cur = *node_idx;
-             siblings.empty() &&
-             tree.nodes()[static_cast<std::size_t>(cur)].parent >= 0;) {
-            const int anc = tree.nodes()[static_cast<std::size_t>(cur)].parent;
-            for (const int s : tree.leaf_slots_under(anc)) {
-                if (!is_own[static_cast<std::size_t>(s)]) siblings.push_back(s);
-            }
-            cur = anc;
+    //
+    // Leaf slots under every node, from one reverse pass: nodes are stored
+    // parent-first, so each node's list is complete before it is merged
+    // into its parent's.
+    const auto& nodes = tree.nodes();
+    std::vector<std::vector<int>> under(nodes.size());
+    for (std::size_t i = nodes.size(); i-- > 0;) {
+        const ProbeTree::Node& node = nodes[i];
+        if (node.leaf_slot.has_value()) under[i].push_back(*node.leaf_slot);
+        if (node.parent >= 0) {
+            auto& up = under[static_cast<std::size_t>(node.parent)];
+            up.insert(up.end(), under[i].begin(), under[i].end());
         }
-        if (siblings.empty()) continue;  // no cross-check possible
+    }
+    std::vector<bool> is_own(leaf_count, false);
+    for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
+        const auto node_idx =
+            static_cast<std::size_t>(tree.leaf_nodes()[leaf]);
+        const std::vector<int>& own = under[node_idx];
+        int anc = nodes[node_idx].parent;
+        while (anc >= 0 &&
+               under[static_cast<std::size_t>(anc)].size() == own.size()) {
+            anc = nodes[static_cast<std::size_t>(anc)].parent;
+        }
+        if (anc < 0) continue;  // no cross-check possible
+
+        for (const int s : own) is_own[static_cast<std::size_t>(s)] = true;
+        std::vector<int> siblings;
+        for (const int s : under[static_cast<std::size_t>(anc)]) {
+            if (!is_own[static_cast<std::size_t>(s)]) siblings.push_back(s);
+        }
+        for (const int s : own) is_own[static_cast<std::size_t>(s)] = false;
 
         int evidence = 0;
         int acked_given_evidence = 0;
@@ -75,10 +88,9 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
     return flagged;
 }
 
-std::vector<ProbeRecord> exclude_leaves(std::span<const ProbeRecord> probes,
-                                        const std::vector<bool>& excluded) {
-    std::vector<ProbeRecord> out(probes.begin(), probes.end());
-    for (ProbeRecord& rec : out) {
+void exclude_leaves(std::span<ProbeRecord> probes,
+                    const std::vector<bool>& excluded) {
+    for (ProbeRecord& rec : probes) {
         if (rec.acked.size() != excluded.size()) {
             throw std::invalid_argument("exclude_leaves: size mismatch");
         }
@@ -89,7 +101,6 @@ std::vector<ProbeRecord> exclude_leaves(std::span<const ProbeRecord> probes,
             }
         }
     }
-    return out;
 }
 
 }  // namespace concilium::tomography

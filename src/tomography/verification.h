@@ -46,10 +46,10 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
                                      std::span<const ProbeRecord> probes,
                                      const SuppressionTestParams& params);
 
-/// Convenience: probes with either defect masked out per leaf, so inference
-/// can run on trustworthy feedback only.  Flagged leaves' acks are cleared
+/// Masks the flagged leaves' feedback out of the probes in place, so
+/// inference runs on trustworthy feedback only: their acks are cleared
 /// (treated as silent), matching the exclusion semantics of Section 3.3.
-std::vector<ProbeRecord> exclude_leaves(std::span<const ProbeRecord> probes,
-                                        const std::vector<bool>& excluded);
+void exclude_leaves(std::span<ProbeRecord> probes,
+                    const std::vector<bool>& excluded);
 
 }  // namespace concilium::tomography

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <stdexcept>
+
 #include "crypto/keys.h"
 
 namespace concilium::runtime {
@@ -180,6 +183,143 @@ TEST(SnapshotArchive, QueriesEnforceRetentionHorizon) {
         archive.evidence_for(links, 300 * kSecond, 300 * kSecond, exclude);
     ASSERT_EQ(evidence.size(), 1u);
     EXPECT_EQ(evidence[0].origin, kBob);
+}
+
+// --- epoch lookups by NodeId and by MemberIndex -----------------------------
+
+constexpr overlay::MemberIndex kAliceIdx = 4;
+constexpr overlay::MemberIndex kBobIdx = 9;
+
+/// Both lookups (NodeId and MemberIndex, digest and snapshot) must agree on
+/// every epoch; returns the digest they agree on.
+SnapshotArchive::DigestId agreed_digest(const SnapshotArchive& archive,
+                                        const util::NodeId& origin,
+                                        overlay::MemberIndex idx,
+                                        std::uint64_t epoch) {
+    const auto by_id = archive.digest_of(origin, epoch);
+    EXPECT_EQ(by_id, archive.digest_of(idx, epoch)) << "epoch " << epoch;
+    EXPECT_EQ(archive.find(origin, epoch), archive.find(idx, epoch))
+        << "epoch " << epoch;
+    EXPECT_EQ(by_id == util::DigestInterner::kInvalidId,
+              archive.find(origin, epoch) == nullptr)
+        << "epoch " << epoch;
+    return by_id;
+}
+
+TEST(SnapshotArchiveLookup, EpochAboveNewestIsAbsent) {
+    util::DigestInterner interner;
+    SnapshotArchive archive;
+    archive.bind_interner(&interner);
+    archive.add(vsnap(kAlice, 1, 10 * kSecond), 10 * kSecond,
+                util::DigestInterner::kInvalidId, kAliceIdx);
+    archive.add(vsnap(kAlice, 3, 20 * kSecond), 20 * kSecond,
+                util::DigestInterner::kInvalidId, kAliceIdx);
+    EXPECT_NE(agreed_digest(archive, kAlice, kAliceIdx, 1),
+              util::DigestInterner::kInvalidId);
+    EXPECT_NE(agreed_digest(archive, kAlice, kAliceIdx, 3),
+              util::DigestInterner::kInvalidId);
+    // Skipped and future epochs, and epoch 0, are absent.
+    EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, 2),
+              util::DigestInterner::kInvalidId);
+    EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, 4),
+              util::DigestInterner::kInvalidId);
+    EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, 0),
+              util::DigestInterner::kInvalidId);
+    // Unknown origins, by either key.
+    EXPECT_EQ(agreed_digest(archive, kBob, kBobIdx, 1),
+              util::DigestInterner::kInvalidId);
+}
+
+TEST(SnapshotArchiveLookup, EpochEvictedByCapIsAbsent) {
+    util::DigestInterner interner;
+    SnapshotArchive archive(/*retention=*/10 * kMinute,
+                            /*max_transit=*/kMinute, /*max_per_origin=*/3);
+    archive.bind_interner(&interner);
+    for (std::uint64_t e = 1; e <= 5; ++e) {
+        const auto at = static_cast<util::SimTime>(e) * 10 * kSecond;
+        archive.add(vsnap(kAlice, e, at), at,
+                    util::DigestInterner::kInvalidId, kAliceIdx);
+    }
+    EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, 1),
+              util::DigestInterner::kInvalidId);
+    EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, 2),
+              util::DigestInterner::kInvalidId);
+    for (std::uint64_t e = 3; e <= 5; ++e) {
+        const auto* found = archive.find(kAliceIdx, e);
+        ASSERT_NE(found, nullptr);
+        EXPECT_EQ(found->epoch, e);
+        EXPECT_NE(agreed_digest(archive, kAlice, kAliceIdx, e),
+                  util::DigestInterner::kInvalidId);
+    }
+}
+
+TEST(SnapshotArchiveLookup, EpochPrunedByRetentionIsAbsent) {
+    util::DigestInterner interner;
+    SnapshotArchive archive(/*retention=*/2 * kMinute);
+    archive.bind_interner(&interner);
+    archive.add(vsnap(kAlice, 1, 0), 0, util::DigestInterner::kInvalidId,
+                kAliceIdx);
+    archive.add(vsnap(kAlice, 2, kMinute), kMinute,
+                util::DigestInterner::kInvalidId, kAliceIdx);
+    EXPECT_NE(agreed_digest(archive, kAlice, kAliceIdx, 1),
+              util::DigestInterner::kInvalidId);
+    // An insert at t=3min prunes the t=0 snapshot (older than 2 min); the
+    // inserting origin need not be the pruned one.
+    archive.add(vsnap(kBob, 1, 3 * kMinute), 3 * kMinute,
+                util::DigestInterner::kInvalidId, kBobIdx);
+    EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, 1),
+              util::DigestInterner::kInvalidId);
+    EXPECT_NE(agreed_digest(archive, kAlice, kAliceIdx, 2),
+              util::DigestInterner::kInvalidId);
+    EXPECT_NE(agreed_digest(archive, kBob, kBobIdx, 1),
+              util::DigestInterner::kInvalidId);
+}
+
+TEST(SnapshotArchiveLookup, SkipsInterleavedUnversionedRows) {
+    util::DigestInterner interner;
+    SnapshotArchive archive;
+    archive.bind_interner(&interner);
+    const std::uint64_t epochs[] = {1, 0, 2, 0, 0, 5, 0};
+    for (std::size_t i = 0; i < std::size(epochs); ++i) {
+        const auto at = static_cast<util::SimTime>(i + 1) * kSecond;
+        // Alternate link states so every row has its own payload digest.
+        archive.add(vsnap(kAlice, epochs[i], at, i % 2 == 0), at,
+                    util::DigestInterner::kInvalidId, kAliceIdx);
+    }
+    const auto d1 = agreed_digest(archive, kAlice, kAliceIdx, 1);
+    const auto d2 = agreed_digest(archive, kAlice, kAliceIdx, 2);
+    const auto d5 = agreed_digest(archive, kAlice, kAliceIdx, 5);
+    EXPECT_NE(d1, util::DigestInterner::kInvalidId);
+    EXPECT_NE(d2, util::DigestInterner::kInvalidId);
+    EXPECT_NE(d5, util::DigestInterner::kInvalidId);
+    EXPECT_NE(d1, d2);
+    EXPECT_NE(d2, d5);
+    ASSERT_NE(archive.find(kAliceIdx, 2), nullptr);
+    EXPECT_EQ(archive.find(kAliceIdx, 2)->epoch, 2u);
+    ASSERT_NE(archive.find(kAliceIdx, 5), nullptr);
+    EXPECT_EQ(archive.find(kAliceIdx, 5)->probed_at, 6 * kSecond);
+    for (const std::uint64_t e : {0u, 3u, 4u, 6u}) {
+        EXPECT_EQ(agreed_digest(archive, kAlice, kAliceIdx, e),
+                  util::DigestInterner::kInvalidId);
+    }
+}
+
+TEST(SnapshotArchiveLookup, MemberIndexMustNameTheOrigin) {
+    SnapshotArchive archive;
+    archive.add(vsnap(kAlice, 1, 10 * kSecond), 10 * kSecond,
+                util::DigestInterner::kInvalidId, kAliceIdx);
+    // Bob's snapshot under Alice's index is a caller bug, refused loudly.
+    EXPECT_THROW(archive.add(vsnap(kBob, 1, 10 * kSecond), 10 * kSecond,
+                             util::DigestInterner::kInvalidId, kAliceIdx),
+                 std::invalid_argument);
+    // An origin first admitted without its index becomes answerable by
+    // index once a later admission supplies it.
+    archive.add(vsnap(kBob, 1, 10 * kSecond), 10 * kSecond);
+    EXPECT_EQ(archive.find(kBobIdx, 1), nullptr);
+    archive.add(vsnap(kBob, 2, 20 * kSecond), 20 * kSecond,
+                util::DigestInterner::kInvalidId, kBobIdx);
+    ASSERT_NE(archive.find(kBobIdx, 1), nullptr);
+    EXPECT_EQ(archive.find(kBobIdx, 1), archive.find(kBob, 1));
 }
 
 }  // namespace
