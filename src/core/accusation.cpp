@@ -63,10 +63,10 @@ BlameEvidence read_evidence(util::ByteReader& r) {
     e.suspect = r.node_id();
     e.message_id = r.u64();
     e.message_time = r.i64();
-    const std::uint32_t links = r.u32();
+    const std::uint32_t links = r.count(sizeof(std::uint32_t));
     e.path_links.reserve(links);
     for (std::uint32_t i = 0; i < links; ++i) e.path_links.push_back(r.u32());
-    const std::uint32_t snaps = r.u32();
+    const std::uint32_t snaps = r.count();
     e.snapshots.reserve(snaps);
     for (std::uint32_t i = 0; i < snaps; ++i) {
         e.snapshots.push_back(tomography::read_snapshot_wire(r));
@@ -140,7 +140,7 @@ FaultAccusation FaultAccusation::deserialize(
     util::ByteReader r(bytes);
     FaultAccusation acc;
     acc.accuser = r.node_id();
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count();
     acc.evidence.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         acc.evidence.push_back(read_evidence(r));

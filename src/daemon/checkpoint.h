@@ -58,8 +58,9 @@ struct Checkpoint {
     std::uint64_t messages_fed = 0;
     std::uint64_t checkpoints_written = 0;
 
-    /// Ground-truth runtime::Cluster::Stats, every field by name in
-    /// declaration order.
+    /// Ground-truth runtime::Cluster::Stats, every field by name in the
+    /// order of the one list, CONCILIUM_CLUSTER_STATS in runtime/cluster.h
+    /// (read through Cluster::Stats::for_each).
     std::vector<std::pair<std::string, std::uint64_t>> stats;
 
     /// Per-node durable state: entry count + FNV-1a over a canonical

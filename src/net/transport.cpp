@@ -1,7 +1,6 @@
 #include "net/transport.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/metrics.h"
 
@@ -40,13 +39,6 @@ bool Transport::sample_traversal(std::span<const LinkId> links,
 
 bool Transport::sample_traversal(const Path& path, util::SimTime t) {
     return sample_traversal(path.links, t);
-}
-
-void Transport::send(const Path& path, std::function<void()> on_deliver,
-                     std::function<void()> on_drop) {
-    const bool ok = sample_traversal(path, sim_->now());
-    sim_->schedule_after(latency(path),
-                         ok ? std::move(on_deliver) : std::move(on_drop));
 }
 
 }  // namespace concilium::net

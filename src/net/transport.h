@@ -8,11 +8,9 @@
 
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "net/chaos.h"
-#include "net/event_sim.h"
 #include "net/link_state.h"
 #include "net/paths.h"
 #include "util/rng.h"
@@ -26,9 +24,9 @@ struct TransportParams {
 
 class Transport {
   public:
-    Transport(const FailureTimeline& timeline, EventSim& sim,
-              util::Rng rng, TransportParams params = {})
-        : timeline_(&timeline), sim_(&sim), rng_(rng), params_(params) {}
+    Transport(const FailureTimeline& timeline, util::Rng rng,
+              TransportParams params = {})
+        : timeline_(&timeline), rng_(rng), params_(params) {}
 
     /// Probability that one packet crossing `link` at time t survives.
     [[nodiscard]] double pass_probability(LinkId link, util::SimTime t) const;
@@ -46,11 +44,6 @@ class Transport {
         return latency(path.hops());
     }
 
-    /// Sends a packet now; exactly one of on_deliver / on_drop fires, at the
-    /// simulated arrival (or would-be arrival) time.
-    void send(const Path& path, std::function<void()> on_deliver,
-              std::function<void()> on_drop);
-
     [[nodiscard]] const TransportParams& params() const noexcept {
         return params_;
     }
@@ -64,7 +57,6 @@ class Transport {
 
   private:
     const FailureTimeline* timeline_;
-    EventSim* sim_;
     util::Rng rng_;
     TransportParams params_;
     const FaultPlan* chaos_ = nullptr;

@@ -27,6 +27,17 @@ util::metrics::SeriesMetric& minute_series(const char* name) {
         name, util::kMinute, 240, util::metrics::SeriesMetric::Mode::kSum);
 }
 
+// Section 3.3's misreport: every link verdict and path bucket inverted.
+// Callers re-sign, so the liar signs its lie.
+void flip_reports(tomography::TomographicSnapshot& snapshot) {
+    for (auto& obs : snapshot.links) obs.up = !obs.up;
+    for (auto& path : snapshot.paths) {
+        path.bucket = path.bucket == tomography::LossBucket::kClean
+                          ? tomography::LossBucket::kDown
+                          : tomography::LossBucket::kClean;
+    }
+}
+
 }  // namespace
 
 Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
@@ -35,7 +46,7 @@ Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
                  std::vector<NodeBehavior> behaviors, util::Rng rng)
     : sim_(&sim), timeline_(&timeline), net_(&net), trees_(&trees),
       params_(params), behaviors_(std::move(behaviors)), rng_(rng),
-      transport_(timeline, sim, rng_.fork(), params.transport),
+      transport_(timeline, rng_.fork(), params.transport),
       dht_(net, params.dht_replication, params.dht_per_writer_quota),
       reputation_(params.reputation_vote_expiry) {
     if (!behaviors_.empty() && behaviors_.size() != net.size()) {
@@ -52,14 +63,17 @@ Cluster::Cluster(net::EventSim& sim, const net::FailureTimeline& timeline,
     for (overlay::MemberIndex m = 0; m < net.size(); ++m) {
         registry_.register_key(net.member(m).keys);
         member_of_.emplace(net.member(m).id(), m);
-        nodes_.push_back(NodeState{
-            SnapshotArchive(params_.blame.delta + 5 * util::kMinute,
-                            params_.snapshot_max_transit,
-                            params_.archive_max_per_origin),
-            core::VerdictLedger(params_.verdicts),
-            -(1LL << 60)});
-        nodes_.back().archive.bind_interner(&interner_);
+        nodes_.push_back(fresh_node_state());
     }
+}
+
+Cluster::NodeState Cluster::fresh_node_state() {
+    NodeState node{SnapshotArchive(params_.blame.delta + 5 * util::kMinute,
+                                   params_.snapshot_max_transit,
+                                   params_.archive_max_per_origin),
+                   core::VerdictLedger(params_.verdicts)};
+    node.archive.bind_interner(&interner_);
+    return node;
 }
 
 void Cluster::set_online(overlay::MemberIndex m, bool online) {
@@ -71,13 +85,10 @@ void Cluster::dispatch_event(void* ctx, std::uint32_t a, std::uint64_t b,
     auto* self = static_cast<Cluster*>(ctx);
     switch (static_cast<Op>(a)) {
         case Op::kProbeRound:
-            self->run_probe_round(static_cast<overlay::MemberIndex>(b));
-            break;
         case Op::kSlanderRound:
-            self->run_slander_round(static_cast<overlay::MemberIndex>(b));
-            break;
         case Op::kSpamRound:
-            self->run_spam_round(static_cast<overlay::MemberIndex>(b));
+            self->run_round(static_cast<Op>(a),
+                            static_cast<overlay::MemberIndex>(b));
             break;
         case Op::kPeerRefresh: {
             const auto peer = static_cast<overlay::MemberIndex>(b);
@@ -181,10 +192,9 @@ void Cluster::schedule_churn() {
     }
 }
 
-util::SimTime Cluster::chaos_extra_delay(double rate,
+util::SimTime Cluster::chaos_extra_delay(double net::FaultPlan::*rate,
                                          const char* counter_name) {
-    if (chaos_ == nullptr || rate <= 0.0) return 0;
-    if (!rng_.bernoulli(rate)) return 0;
+    if (chaos_ == nullptr || !rng_.bernoulli(chaos_->*rate)) return 0;
     bump(counter_name);
     return std::max<util::SimTime>(
         1, static_cast<util::SimTime>(rng_.uniform(
@@ -213,18 +223,12 @@ void Cluster::crash_node(overlay::MemberIndex m) {
     crashed_at_[m] = sim_->now();
     online_[m] = false;
     // Amnesia: every volatile structure resets.  Only journals_[m] -- the
-    // node's "disk" -- survives a crash-stop.
-    NodeState& node = nodes_[m];
-    node.archive = SnapshotArchive(params_.blame.delta + 5 * util::kMinute,
-                                   params_.snapshot_max_transit,
-                                   params_.archive_max_per_origin);
-    node.archive.bind_interner(&interner_);
-    node.ledger = core::VerdictLedger(params_.verdicts);
-    node.last_heavyweight = -(1LL << 60);
-    node.next_epoch = 1;
-    node.replay_stash.reset();
-    node.collected.clear();
-    node.recovery_seen.clear();
+    // node's "disk" -- and the attack roles' victim cursors survive a
+    // crash-stop.
+    NodeState fresh = fresh_node_state();
+    fresh.slander_cursor = nodes_[m].slander_cursor;
+    fresh.spam_cursor = nodes_[m].spam_cursor;
+    nodes_[m] = std::move(fresh);
 }
 
 void Cluster::restart_node(overlay::MemberIndex m) {
@@ -276,18 +280,7 @@ void Cluster::recovery_handshake(
     // peer re-runs the full validation pipeline (signature, freshness,
     // density), so a forged "repair" advertisement fails exactly like any
     // other forged advertisement.
-    const auto key_fn = [this](const util::NodeId& id) { return key_of(id); };
-    auto ad = overlay::make_advertisement(
-        *net_, m, now, [this](overlay::MemberIndex) {
-            return std::max<util::SimTime>(
-                0, sim_->now() - params_.probe_interval_max / 2);
-        });
-    const double fraction = behavior(m).advertised_table_fraction;
-    if (fraction < 1.0) {
-        ad.entries.resize(static_cast<std::size_t>(
-            fraction * static_cast<double>(ad.entries.size())));
-        ad.signature = net_->member(m).keys.sign(ad.signed_payload());
-    }
+    const auto ad = own_advertisement(m);
     for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
         if (!online_[peer]) continue;
         if (partition_blocks(m, peer)) {
@@ -298,10 +291,7 @@ void Cluster::recovery_handshake(
             params_.control_latency, [this, peer, announcement] {
                 accept_recovery_announcement(peer, announcement);
             });
-        const auto verdict = core::validate_advertisement(
-            ad, net_->secure_table(peer).density(), now, params_.validation,
-            key_fn, registry_);
-        if (verdict == core::AdvertisementCheck::kOk) {
+        if (accepts_advertisement(peer, ad)) {
             ++stats_.recovery_repairs_accepted;
             bump("recovery.repairs_accepted");
         } else {
@@ -523,9 +513,9 @@ void Cluster::start() {
         schedule_recovery_faults();
     }
     for (overlay::MemberIndex m = 0; m < net_->size(); ++m) {
-        schedule_probe_round(m);
-        if (behavior(m).slander) schedule_slander_round(m);
-        if (behavior(m).spam_accusations) schedule_spam_round(m);
+        schedule_round(Op::kProbeRound, m);
+        if (behavior(m).slander) schedule_round(Op::kSlanderRound, m);
+        if (behavior(m).spam_accusations) schedule_round(Op::kSpamRound, m);
     }
 }
 
@@ -535,30 +525,12 @@ void Cluster::exchange_routing_state() {
     // pipeline (owner signature, per-entry freshness, slot constraints,
     // the occupancy density test).
     ad_rejecters_.assign(net_->size(), {});
-    const auto key_fn = [this](const util::NodeId& id) {
-        return key_of(id);
-    };
     for (overlay::MemberIndex m = 0; m < net_->size(); ++m) {
         if (!online_[m]) continue;
-        auto ad = overlay::make_advertisement(
-            *net_, m, sim_->now(), [this](overlay::MemberIndex) {
-                // Entries were last vouched for within one probe period.
-                return std::max<util::SimTime>(
-                    0, sim_->now() - params_.probe_interval_max / 2);
-            });
-        const double fraction = behavior(m).advertised_table_fraction;
-        if (fraction < 1.0) {
-            // Suppression attack: hide a share of the honest entries.
-            ad.entries.resize(static_cast<std::size_t>(
-                fraction * static_cast<double>(ad.entries.size())));
-            ad.signature = net_->member(m).keys.sign(ad.signed_payload());
-        }
+        const auto ad = own_advertisement(m);
         for (const overlay::MemberIndex peer : net_->routing_peers(m)) {
             if (!online_[peer]) continue;
-            const auto verdict = core::validate_advertisement(
-                ad, net_->secure_table(peer).density(), sim_->now(),
-                params_.validation, key_fn, registry_);
-            if (verdict == core::AdvertisementCheck::kOk) {
+            if (accepts_advertisement(peer, ad)) {
                 ++stats_.advertisements_accepted;
             } else {
                 ++stats_.advertisements_rejected;
@@ -568,19 +540,50 @@ void Cluster::exchange_routing_state() {
     }
 }
 
-void Cluster::schedule_probe_round(overlay::MemberIndex m) {
-    const auto delay = static_cast<util::SimTime>(rng_.uniform(
-        0.0, static_cast<double>(params_.probe_interval_max)));
-    post(delay, Op::kProbeRound, m);
+overlay::JumpTableAdvertisement Cluster::own_advertisement(
+    overlay::MemberIndex m) const {
+    auto ad = overlay::make_advertisement(
+        *net_, m, sim_->now(), [this](overlay::MemberIndex) {
+            // Entries were last vouched for within one probe period.
+            return std::max<util::SimTime>(
+                0, sim_->now() - params_.probe_interval_max / 2);
+        });
+    const double fraction = behavior(m).advertised_table_fraction;
+    if (fraction < 1.0) {
+        // Suppression attack: hide a share of the honest entries.
+        ad.entries.resize(static_cast<std::size_t>(
+            fraction * static_cast<double>(ad.entries.size())));
+        ad.signature = net_->member(m).keys.sign(ad.signed_payload());
+    }
+    return ad;
 }
 
-void Cluster::run_probe_round(overlay::MemberIndex m) {
-    if (!online_[m]) {
-        schedule_probe_round(m);
-        return;
+bool Cluster::accepts_advertisement(
+    overlay::MemberIndex peer,
+    const overlay::JumpTableAdvertisement& ad) const {
+    return core::validate_advertisement(
+               ad, net_->secure_table(peer).density(), sim_->now(),
+               params_.validation,
+               [this](const util::NodeId& id) { return key_of(id); },
+               registry_) == core::AdvertisementCheck::kOk;
+}
+
+void Cluster::schedule_round(Op op, overlay::MemberIndex m) {
+    const auto delay = static_cast<util::SimTime>(rng_.uniform(
+        0.0, static_cast<double>(params_.probe_interval_max)));
+    post(delay, op, m);
+}
+
+void Cluster::run_round(Op op, overlay::MemberIndex m) {
+    if (online_[m]) {
+        switch (op) {
+            case Op::kProbeRound: probe_round_once(m); break;
+            case Op::kSlanderRound: slander_round_once(m); break;
+            case Op::kSpamRound: spam_round_once(m); break;
+            default: break;
+        }
     }
-    probe_round_once(m);
-    schedule_probe_round(m);
+    schedule_round(op, m);
 }
 
 void Cluster::probe_round_once(overlay::MemberIndex m) {
@@ -724,16 +727,9 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
         }
         return;
     }
-    if (b.flip_probe_reports) {
-        // Section 3.3's worst-case leaf: answer others' probes correctly but
-        // misreport one's own results.  The liar signs its lie.
-        for (auto& obs : snapshot.links) obs.up = !obs.up;
-        for (auto& path : snapshot.paths) {
-            path.bucket = path.bucket == tomography::LossBucket::kClean
-                              ? tomography::LossBucket::kDown
-                              : tomography::LossBucket::kClean;
-        }
-    }
+    // Section 3.3's worst-case leaf: answer others' probes correctly but
+    // misreport one's own results.
+    if (b.flip_probe_reports) flip_reports(snapshot);
     snapshot.epoch = nodes_[m].next_epoch++;
     // Journal the epoch advance *before* the snapshot leaves: a crash
     // between publish and checkpoint must never let the restarted node
@@ -765,9 +761,8 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
             const std::size_t r = rank++;
             send_snapshot(
                 peer,
-                r % 2 == 0
-                    ? pub
-                    : seal(m, equivocation_variant(m, pub->snapshot, r)),
+                r % 2 == 0 ? pub
+                           : seal(m, equivocation_variant(m, pub->snapshot)),
                 1);
         }
         return;
@@ -778,16 +773,9 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
 }
 
 tomography::TomographicSnapshot Cluster::equivocation_variant(
-    overlay::MemberIndex m, const tomography::TomographicSnapshot& base,
-    std::size_t peer_rank) const {
-    if (peer_rank % 2 == 0) return base;
+    overlay::MemberIndex m, const tomography::TomographicSnapshot& base) const {
     tomography::TomographicSnapshot variant = base;
-    for (auto& obs : variant.links) obs.up = !obs.up;
-    for (auto& path : variant.paths) {
-        path.bucket = path.bucket == tomography::LossBucket::kClean
-                          ? tomography::LossBucket::kDown
-                          : tomography::LossBucket::kClean;
-    }
+    flip_reports(variant);
     variant.signature = net_->member(m).keys.sign(variant.signed_payload());
     return variant;
 }
@@ -967,22 +955,25 @@ void Cluster::deliver_to_hop(std::uint64_t msg_id, std::size_t hop) {
     }
     if (hop + 1 == ctx.route.size()) {
         if (ctx.route.size() == 1) {
-            // Sender is already the destination.
-            ctx.completed = true;
-            ++stats_.delivered;
-    bump("runtime.messages_delivered");
-            if (ctx.on_complete) {
-                MessageOutcome outcome;
-                outcome.delivered = true;
-                outcome.route = ctx.route;
-                ctx.on_complete(outcome);
-            }
+            complete_delivered(ctx);  // sender is already the destination
             return;
         }
         start_ack_return(msg_id);
         return;
     }
     forward_from_hop(msg_id, hop);
+}
+
+void Cluster::complete_delivered(MessageContext& ctx) {
+    ctx.completed = true;
+    ++stats_.delivered;
+    bump("runtime.messages_delivered");
+    if (ctx.on_complete) {
+        MessageOutcome outcome;
+        outcome.delivered = true;
+        outcome.route = ctx.route;
+        ctx.on_complete(outcome);
+    }
 }
 
 void Cluster::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
@@ -1008,14 +999,14 @@ void Cluster::forward_from_hop(std::uint64_t msg_id, std::size_t hop) {
     // Forwarding commitment (Section 3.6), issued by the next hop.
     if (behavior(next).refuse_commitments) {
         ++stats_.commitments_refused;
-    bump("runtime.commitments_refused");
+        bump("runtime.commitments_refused");
         ++stats_.reputation_votes;
         reputation_.cast_vote(net_->member(m).id(), net_->member(next).id(),
                               sim_->now());
         journals_[m].record_vote(net_->member(next).id(), sim_->now());
     } else {
         ++stats_.commitments_issued;
-    bump("runtime.commitments_issued");
+        bump("runtime.commitments_issued");
         ctx.stewards[hop].commitment = core::make_forwarding_commitment(
             net_->member(m).id(), net_->member(next).id(),
             net_->member(ctx.route.back()).id(), msg_id, ctx.sent_at,
@@ -1052,27 +1043,20 @@ void Cluster::transmit_to_next(std::uint64_t msg_id, std::size_t hop,
         static auto& blocked_by_minute =
             minute_series("partition.messages_blocked.by_minute");
         blocked_by_minute.observe(sim_->now());
-        if (!ctx.dropped_by_hop.has_value()) {
-            ctx.dropped_by_network = true;
-            ctx.network_drop_segment = hop;
-        }
-    } else if (transport_.sample_traversal(path, sim_->now())) {
-        // One packet over the IP path; loss kills this copy.
-        const util::SimTime jitter =
-            chaos_extra_delay(chaos_ != nullptr ? chaos_->reorder_rate : 0.0,
+    }
+    if (!cut && transport_.sample_traversal(path, sim_->now())) {
+        // One packet over the IP path; loss (or the cut) kills this copy.
+        const util::SimTime arrival =
+            transport_.latency(path.size()) +
+            chaos_extra_delay(&net::FaultPlan::reorder_rate,
                               "chaos.packets_reordered");
-        post(transport_.latency(path.size()) + jitter, Op::kDeliverToHop,
-             msg_id, hop + 1);
-        if (chaos_ != nullptr && rng_.bernoulli(chaos_->duplicate_rate)) {
-            // A duplicated packet arrives slightly later; the receiving
-            // steward dedupes it.
-            bump("chaos.packets_duplicated");
-            const util::SimTime extra = std::max<util::SimTime>(
-                1, static_cast<util::SimTime>(rng_.uniform(
-                       0.0,
-                       static_cast<double>(chaos_->max_extra_delay))));
-            post(transport_.latency(path.size()) + jitter + extra,
-                 Op::kDeliverToHop, msg_id, hop + 1);
+        post(arrival, Op::kDeliverToHop, msg_id, hop + 1);
+        // A duplicated packet arrives slightly later; the receiving steward
+        // dedupes it.
+        const util::SimTime extra = chaos_extra_delay(
+            &net::FaultPlan::duplicate_rate, "chaos.packets_duplicated");
+        if (extra > 0) {
+            post(arrival + extra, Op::kDeliverToHop, msg_id, hop + 1);
         }
     } else if (!ctx.dropped_by_hop.has_value()) {
         ctx.dropped_by_network = true;
@@ -1118,17 +1102,7 @@ void Cluster::deliver_ack_to_hop(std::uint64_t msg_id, std::size_t hop) {
         journals_[ctx.route[hop]].record_steward_close(msg_id, hop);
     }
     if (hop == 0) {
-        if (!ctx.completed) {
-            ctx.completed = true;
-            ++stats_.delivered;
-    bump("runtime.messages_delivered");
-            if (ctx.on_complete) {
-                MessageOutcome outcome;
-                outcome.delivered = true;
-                outcome.route = ctx.route;
-                ctx.on_complete(outcome);
-            }
-        }
+        if (!ctx.completed) complete_delivered(ctx);
         return;
     }
     // Relay the acknowledgment upstream over hop-1's path.
@@ -1137,23 +1111,18 @@ void Cluster::deliver_ack_to_hop(std::uint64_t msg_id, std::size_t hop) {
         ctx.dropped_by_network = true;
         return;
     }
-    if (partition_blocks(ctx.route[hop], ctx.route[hop - 1])) {
+    const bool cut = partition_blocks(ctx.route[hop], ctx.route[hop - 1]);
+    if (cut) {
         // The cut eats the relayed ack; upstream stewards will time out.
         ++stats_.partition_blocked_packets;
         bump("partition.acks_blocked");
-        ctx.dropped_by_network = true;
-        if (!ctx.network_drop_segment.has_value()) {
-            ctx.network_drop_segment = hop - 1;
-        }
-        return;
     }
-    if (transport_.sample_traversal(path, sim_->now())) {
+    if (!cut && transport_.sample_traversal(path, sim_->now())) {
         // Chaos may hold the relayed acknowledgment back; a delay long
         // enough to cross the upstream steward's timeout looks exactly
         // like a loss until the ack lands.
-        const util::SimTime delay =
-            chaos_extra_delay(chaos_ != nullptr ? chaos_->ack_delay_rate : 0.0,
-                              "chaos.acks_delayed");
+        const util::SimTime delay = chaos_extra_delay(
+            &net::FaultPlan::ack_delay_rate, "chaos.acks_delayed");
         post(transport_.latency(path.size()) + delay, Op::kDeliverAck, msg_id,
              hop - 1);
     } else {
@@ -1192,18 +1161,23 @@ void Cluster::on_ack_timeout(std::uint64_t msg_id, std::size_t hop) {
     post(params_.judgment_grace, Op::kJudge, msg_id, hop);
 }
 
-core::BlameEvidence Cluster::build_evidence(
-    const MessageContext& ctx, std::size_t judge_hop,
-    core::BlameBreakdown* breakdown_out) const {
-    const overlay::MemberIndex m = ctx.route[judge_hop];
-    const overlay::MemberIndex suspect = ctx.route[judge_hop + 1];
+core::BlameEvidence Cluster::evidence_header(const MessageContext& ctx,
+                                             std::size_t judge_hop) const {
     core::BlameEvidence ev;
-    ev.judge = net_->member(m).id();
-    ev.suspect = net_->member(suspect).id();
+    ev.judge = net_->member(ctx.route[judge_hop]).id();
+    ev.suspect = net_->member(ctx.route[judge_hop + 1]).id();
     ev.message_id = ctx.id;
     ev.message_time = ctx.sent_at;
     const auto hop_links = hop_path(ctx, judge_hop);
     ev.path_links.assign(hop_links.begin(), hop_links.end());
+    return ev;
+}
+
+core::BlameEvidence Cluster::build_evidence(
+    const MessageContext& ctx, std::size_t judge_hop,
+    core::BlameBreakdown* breakdown_out) const {
+    const overlay::MemberIndex m = ctx.route[judge_hop];
+    core::BlameEvidence ev = evidence_header(ctx, judge_hop);
     ev.snapshots = nodes_[m].archive.evidence_for(
         ev.path_links, ctx.sent_at, params_.blame.delta, ev.suspect);
     if (ctx.stewards[judge_hop].commitment.has_value()) {
@@ -1336,13 +1310,7 @@ void Cluster::push_fabricated_revision(std::uint64_t msg_id,
     if (ctx.completed || !online_[ctx.route[hop]]) return;
     const overlay::MemberIndex m = ctx.route[hop];
     const overlay::MemberIndex next = ctx.route[hop + 1];
-    core::BlameEvidence ev;
-    ev.judge = net_->member(m).id();
-    ev.suspect = net_->member(next).id();
-    ev.message_id = ctx.id;
-    ev.message_time = ctx.sent_at;
-    const auto hop_links = hop_path(ctx, hop);
-    ev.path_links.assign(hop_links.begin(), hop_links.end());
+    core::BlameEvidence ev = evidence_header(ctx, hop);
     // No snapshots: the colluder's archive holds evidence the path was fine
     // (it dropped the message itself), so it bundles nothing and asserts
     // maximum blame.  Without a commitment for *this* message from the
@@ -1360,122 +1328,98 @@ void Cluster::push_fabricated_revision(std::uint64_t msg_id,
                          });
 }
 
-void Cluster::schedule_slander_round(overlay::MemberIndex m) {
-    const auto delay = static_cast<util::SimTime>(rng_.uniform(
-        0.0, static_cast<double>(params_.probe_interval_max)));
-    post(delay, Op::kSlanderRound, m);
-}
-
-void Cluster::run_slander_round(overlay::MemberIndex m) {
-    if (!online_[m]) {
-        schedule_slander_round(m);
-        return;
-    }
+void Cluster::slander_round_once(overlay::MemberIndex m) {
     const auto& peers = net_->routing_peers(m);
-    if (!peers.empty()) {
-        NodeState& node = nodes_[m];
-        const overlay::MemberIndex victim =
-            peers[node.slander_cursor++ % peers.size()];
-        core::BlameEvidence ev;
-        ev.judge = net_->member(m).id();
-        ev.suspect = net_->member(victim).id();
-        const auto collected = node.collected.find(victim);
-        if (collected != node.collected.end()) {
-            // Strongest forgery available: a genuine commitment from the
-            // victim, with the accusation anchored to its message binding so
-            // the commitment checks pass.  The lie then has to live in the
-            // evidence bundle.
-            ev.commitment = collected->second;
-            ev.message_id = collected->second.message_id;
-            ev.message_time = collected->second.at;
-        } else {
-            // No commitment from the victim: forge one in its name.  The
-            // slanderer can only sign with its own key, so verification
-            // rejects it outright.
-            ev.message_id = (std::uint64_t{0x51AD} << 32) |
-                            (std::uint64_t{m} << 16) | node.slander_cursor;
-            ev.message_time = sim_->now();
-            core::ForwardingCommitment c;
-            c.sender = ev.judge;
-            c.forwarder = ev.suspect;
-            c.destination = ev.judge;
-            c.message_id = ev.message_id;
-            c.at = ev.message_time;
-            c.signature = net_->member(m).keys.sign(c.signed_payload());
-            ev.commitment = c;
-        }
-        if (trees_->leaf_slot(m, victim).has_value()) {
-            const auto victim_links = trees_->path_links(m, victim);
-            ev.path_links.assign(victim_links.begin(), victim_links.end());
-        }
-        // Cherry-picking: of everything archived about these links, keep
-        // ONLY snapshots outside the admission window around message_time --
-        // old outages the victim had nothing to do with.  Fresh exonerating
-        // snapshots are deliberately withheld.
-        auto bundle = node.archive.evidence_for(
-            ev.path_links, ev.message_time,
-            params_.blame.delta + 5 * util::kMinute, ev.suspect);
-        std::erase_if(bundle,
-                      [&](const tomography::TomographicSnapshot& s) {
-                          const util::SimTime skew =
-                              s.probed_at >= ev.message_time
-                                  ? s.probed_at - ev.message_time
-                                  : ev.message_time - s.probed_at;
-                          return skew <= params_.blame.delta;
-                      });
-        if (bundle.size() > 4) bundle.resize(4);
-        ev.snapshots = std::move(bundle);
-        ev.claimed_blame = 1.0;
-        ev.judge_signature = net_->member(m).keys.sign(ev.signed_payload());
-
-        core::FaultAccusation accusation;
-        accusation.accuser = net_->member(m).id();
-        accusation.evidence.push_back(std::move(ev));
-        accusation.signature =
-            net_->member(m).keys.sign(accusation.signed_payload());
-        dht_.put(m,
-                 core::FaultAccusation::dht_key(
-                     net_->member(victim).keys.public_key()),
-                 accusation.serialize());
-        ++stats_.slanders_filed;
-        bump("attack.slanders_filed");
+    if (peers.empty()) return;
+    NodeState& node = nodes_[m];
+    const overlay::MemberIndex victim =
+        peers[node.slander_cursor++ % peers.size()];
+    core::BlameEvidence ev;
+    ev.judge = net_->member(m).id();
+    ev.suspect = net_->member(victim).id();
+    const auto collected = node.collected.find(victim);
+    if (collected != node.collected.end()) {
+        // Strongest forgery available: a genuine commitment from the
+        // victim, with the accusation anchored to its message binding so
+        // the commitment checks pass.  The lie then has to live in the
+        // evidence bundle.
+        ev.commitment = collected->second;
+        ev.message_id = collected->second.message_id;
+        ev.message_time = collected->second.at;
+    } else {
+        // No commitment from the victim: forge one in its name.  The
+        // slanderer can only sign with its own key, so verification
+        // rejects it outright.
+        ev.message_id = (std::uint64_t{0x51AD} << 32) |
+                        (std::uint64_t{m} << 16) | node.slander_cursor;
+        ev.message_time = sim_->now();
+        core::ForwardingCommitment c;
+        c.sender = ev.judge;
+        c.forwarder = ev.suspect;
+        c.destination = ev.judge;
+        c.message_id = ev.message_id;
+        c.at = ev.message_time;
+        c.signature = net_->member(m).keys.sign(c.signed_payload());
+        ev.commitment = c;
     }
-    schedule_slander_round(m);
+    if (trees_->leaf_slot(m, victim).has_value()) {
+        const auto victim_links = trees_->path_links(m, victim);
+        ev.path_links.assign(victim_links.begin(), victim_links.end());
+    }
+    // Cherry-picking: of everything archived about these links, keep
+    // ONLY snapshots outside the admission window around message_time --
+    // old outages the victim had nothing to do with.  Fresh exonerating
+    // snapshots are deliberately withheld.
+    auto bundle = node.archive.evidence_for(
+        ev.path_links, ev.message_time,
+        params_.blame.delta + 5 * util::kMinute, ev.suspect);
+    std::erase_if(bundle,
+                  [&](const tomography::TomographicSnapshot& s) {
+                      const util::SimTime skew =
+                          s.probed_at >= ev.message_time
+                              ? s.probed_at - ev.message_time
+                              : ev.message_time - s.probed_at;
+                      return skew <= params_.blame.delta;
+                  });
+    if (bundle.size() > 4) bundle.resize(4);
+    ev.snapshots = std::move(bundle);
+    ev.claimed_blame = 1.0;
+    ev.judge_signature = net_->member(m).keys.sign(ev.signed_payload());
+
+    core::FaultAccusation accusation;
+    accusation.accuser = net_->member(m).id();
+    accusation.evidence.push_back(std::move(ev));
+    accusation.signature =
+        net_->member(m).keys.sign(accusation.signed_payload());
+    dht_.put(m,
+             core::FaultAccusation::dht_key(
+                 net_->member(victim).keys.public_key()),
+             accusation.serialize());
+    ++stats_.slanders_filed;
+    bump("attack.slanders_filed");
 }
 
-void Cluster::schedule_spam_round(overlay::MemberIndex m) {
-    const auto delay = static_cast<util::SimTime>(rng_.uniform(
-        0.0, static_cast<double>(params_.probe_interval_max)));
-    post(delay, Op::kSpamRound, m);
-}
-
-void Cluster::run_spam_round(overlay::MemberIndex m) {
-    if (!online_[m]) {
-        schedule_spam_round(m);
-        return;
-    }
+void Cluster::spam_round_once(overlay::MemberIndex m) {
     const auto& peers = net_->routing_peers(m);
-    if (!peers.empty()) {
-        NodeState& node = nodes_[m];
-        const overlay::MemberIndex victim =
-            peers[node.spam_cursor++ % peers.size()];
-        const auto key = core::FaultAccusation::dht_key(
-            net_->member(victim).keys.public_key());
-        for (int i = 0; i < 4; ++i) {
-            std::vector<std::uint8_t> junk(24);
-            for (auto& byte : junk) {
-                byte = static_cast<std::uint8_t>(rng_.uniform_int(0, 255));
-            }
-            const auto result = dht_.put(m, key, std::move(junk));
-            ++stats_.spam_puts;
-            bump("attack.spam_puts");
-            if (!result.accepted) {
-                ++stats_.dht_puts_rejected;
-                bump("defense.dht_puts_rejected");
-            }
+    if (peers.empty()) return;
+    NodeState& node = nodes_[m];
+    const overlay::MemberIndex victim =
+        peers[node.spam_cursor++ % peers.size()];
+    const auto key = core::FaultAccusation::dht_key(
+        net_->member(victim).keys.public_key());
+    for (int i = 0; i < 4; ++i) {
+        std::vector<std::uint8_t> junk(24);
+        for (auto& byte : junk) {
+            byte = static_cast<std::uint8_t>(rng_.uniform_int(0, 255));
+        }
+        const auto result = dht_.put(m, key, std::move(junk));
+        ++stats_.spam_puts;
+        bump("attack.spam_puts");
+        if (!result.accepted) {
+            ++stats_.dht_puts_rejected;
+            bump("defense.dht_puts_rejected");
         }
     }
-    schedule_spam_round(m);
 }
 
 void Cluster::maybe_complete(std::uint64_t msg_id) {
@@ -1484,10 +1428,10 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
     ctx.completed = true;
     if (ctx.dropped_by_hop.has_value()) {
         ++stats_.dropped_by_forwarder;
-    bump("runtime.messages_dropped_by_forwarder");
+        bump("runtime.messages_dropped_by_forwarder");
     } else if (ctx.dropped_by_network) {
         ++stats_.dropped_by_network;
-    bump("runtime.messages_dropped_by_network");
+        bump("runtime.messages_dropped_by_network");
     }
 
     MessageOutcome outcome;
@@ -1498,23 +1442,20 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
     const auto& sender = ctx.stewards[0];
     if (!sender.judgment.has_value()) {
         // Sender never judged (e.g. it never forwarded); nothing to report.
-        record_trace(ctx, outcome);
-        if (ctx.on_complete) ctx.on_complete(outcome);
+        finish_diagnosis(ctx, outcome);
         return;
     }
     if (sender.judgment_insufficient) {
         // Degraded mode: the sender's own judgment abstained, so the
         // diagnosis closes without blaming anyone (RECOVERY.md).
         outcome.insufficient_evidence = true;
-        record_trace(ctx, outcome);
-        if (ctx.on_complete) ctx.on_complete(outcome);
+        finish_diagnosis(ctx, outcome);
         return;
     }
     if (!core::is_guilty_verdict(sender.judgment->claimed_blame,
                                  params_.verdicts)) {
         outcome.network_blamed = true;
-        record_trace(ctx, outcome);
-        if (ctx.on_complete) ctx.on_complete(outcome);
+        finish_diagnosis(ctx, outcome);
         return;
     }
     // Walk the revision chain: start blaming hop 1, follow pushed verdicts.
@@ -1599,11 +1540,16 @@ void Cluster::maybe_complete(std::uint64_t msg_id) {
                                      .keys.public_key()),
                              accusation.serialize());
                     ++stats_.accusations_filed;
-    bump("runtime.accusations_filed");
+                    bump("runtime.accusations_filed");
                 }
             }
         }
     }
+    finish_diagnosis(ctx, outcome);
+}
+
+void Cluster::finish_diagnosis(const MessageContext& ctx,
+                               const MessageOutcome& outcome) {
     record_trace(ctx, outcome);
     if (ctx.on_complete) ctx.on_complete(outcome);
 }
@@ -1652,39 +1598,32 @@ void Cluster::record_trace(const MessageContext& ctx,
     trace_->record(std::move(rec));
 }
 
-std::vector<core::FaultAccusation> Cluster::accusations_against(
-    overlay::MemberIndex m) const {
-    std::vector<core::FaultAccusation> out;
-    const auto key =
-        core::FaultAccusation::dht_key(net_->member(m).keys.public_key());
+template <typename T>
+std::vector<T> Cluster::fetch_against(overlay::MemberIndex m) const {
+    std::vector<T> out;
+    const auto key = T::dht_key(net_->member(m).keys.public_key());
     // Read as an arbitrary third party.
     const auto result = dht_.get((m + 1) % net_->size(), key);
     for (const auto& bytes : result.values) {
         try {
-            out.push_back(core::FaultAccusation::deserialize(bytes));
+            out.push_back(T::deserialize(bytes));
         } catch (const std::exception&) {
-            // Spam: a value under an accusation key that is not an
-            // accusation.  Readers skip it.
+            // Spam: a value under the key that does not decode.  Readers
+            // skip it.
             bump("defense.malformed_accusations_dropped");
         }
     }
     return out;
 }
 
+std::vector<core::FaultAccusation> Cluster::accusations_against(
+    overlay::MemberIndex m) const {
+    return fetch_against<core::FaultAccusation>(m);
+}
+
 std::vector<core::EquivocationProof> Cluster::equivocation_proofs_against(
     overlay::MemberIndex m) const {
-    std::vector<core::EquivocationProof> out;
-    const auto key =
-        core::EquivocationProof::dht_key(net_->member(m).keys.public_key());
-    const auto result = dht_.get((m + 1) % net_->size(), key);
-    for (const auto& bytes : result.values) {
-        try {
-            out.push_back(core::EquivocationProof::deserialize(bytes));
-        } catch (const std::exception&) {
-            bump("defense.malformed_accusations_dropped");
-        }
-    }
-    return out;
+    return fetch_against<core::EquivocationProof>(m);
 }
 
 core::AccusationVerifier Cluster::make_verifier() const {

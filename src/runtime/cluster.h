@@ -180,58 +180,75 @@ class Cluster {
     std::uint64_t send(overlay::MemberIndex from, const util::NodeId& dest_key,
                        CompletionFn on_complete = {});
 
+    /// Every Stats counter, declared once as X(name) in the order the
+    /// daemon checkpoint writes them.  Reordering or renaming one changes
+    /// the checkpoint text, so checkpoints written before would no longer
+    /// resume.
+#define CONCILIUM_CLUSTER_STATS(X)                                           \
+    X(messages)                                                              \
+    X(delivered)                                                             \
+    X(dropped_by_forwarder) /* ground truth */                               \
+    X(dropped_by_network)   /* ground truth (incl. acks) */                  \
+    X(guilty_verdicts)                                                       \
+    X(innocent_verdicts)                                                     \
+    X(accusations_filed)                                                     \
+    X(revisions_pushed)                                                      \
+    X(revisions_applied)                                                     \
+    X(snapshots_published)                                                   \
+    X(snapshots_rejected) /* bad signature on receipt */                     \
+    X(lightweight_rounds)                                                    \
+    X(heavyweight_sessions)                                                  \
+    X(commitments_issued)                                                    \
+    X(commitments_refused)                                                   \
+    X(reputation_votes)                                                      \
+    X(advertisements_accepted)                                               \
+    X(advertisements_rejected)                                               \
+    X(forward_retransmissions)                                               \
+    X(snapshot_retries)                                                      \
+    X(snapshot_deliveries_failed) /* retry budget spent */                   \
+    X(duplicates_suppressed)                                                 \
+    X(churn_leaves)                                                          \
+    X(churn_rejoins)                                                         \
+    /* crash recovery + partitions (RECOVERY.md) */                          \
+    X(crashes)                                                               \
+    X(restarts)                                                              \
+    X(journal_replays)                                                       \
+    X(recovery_announcements)                                                \
+    X(recovery_repairs_accepted)                                             \
+    X(recovery_repairs_rejected)                                             \
+    X(stewardships_resumed)                                                  \
+    X(stewardships_abandoned)                                                \
+    X(insufficient_verdicts) /* degraded-mode abstentions */                 \
+    X(verdicts_retracted)    /* after announcements */                       \
+    X(partition_activations)                                                 \
+    X(partition_heals)                                                       \
+    X(partition_blocked_packets)                                             \
+    X(resync_rounds) /* heal-time anti-entropy probes */                     \
+    /* attack-campaign activity (what the adversary did) */                  \
+    X(equivocations_published) /* per-peer variant rounds */                 \
+    X(replays_published)       /* stale re-advertisements */                 \
+    X(slanders_filed)          /* forged accusations */                      \
+    X(spam_puts)               /* junk DHT insertions */                     \
+    X(collusions_pushed)       /* fabricated revisions */                    \
+    /* defense outcomes (what the protocol caught) */                        \
+    X(snapshots_rejected_stale) /* archive transit check */                  \
+    X(snapshots_rejected_epoch) /* archive replay floor */                   \
+    X(equivocation_proofs_filed)                                             \
+    X(revisions_rejected) /* failed re-verification */                       \
+    X(dht_puts_rejected)  /* writer quota exhausted */
+
     struct Stats {
-        std::size_t messages = 0;
-        std::size_t delivered = 0;
-        std::size_t dropped_by_forwarder = 0;  ///< ground truth
-        std::size_t dropped_by_network = 0;    ///< ground truth (incl. acks)
-        std::size_t guilty_verdicts = 0;
-        std::size_t innocent_verdicts = 0;
-        std::size_t accusations_filed = 0;
-        std::size_t revisions_pushed = 0;
-        std::size_t revisions_applied = 0;
-        std::size_t snapshots_published = 0;
-        std::size_t snapshots_rejected = 0;  ///< bad signature on receipt
-        std::size_t lightweight_rounds = 0;
-        std::size_t heavyweight_sessions = 0;
-        std::size_t commitments_issued = 0;
-        std::size_t commitments_refused = 0;
-        std::size_t reputation_votes = 0;
-        std::size_t advertisements_accepted = 0;
-        std::size_t advertisements_rejected = 0;
-        std::size_t forward_retransmissions = 0;
-        std::size_t snapshot_retries = 0;
-        std::size_t snapshot_deliveries_failed = 0;  ///< retry budget spent
-        std::size_t duplicates_suppressed = 0;
-        std::size_t churn_leaves = 0;
-        std::size_t churn_rejoins = 0;
-        // --- crash recovery + partitions (RECOVERY.md) --------------------
-        std::size_t crashes = 0;
-        std::size_t restarts = 0;
-        std::size_t journal_replays = 0;
-        std::size_t recovery_announcements = 0;
-        std::size_t recovery_repairs_accepted = 0;
-        std::size_t recovery_repairs_rejected = 0;
-        std::size_t stewardships_resumed = 0;
-        std::size_t stewardships_abandoned = 0;
-        std::size_t insufficient_verdicts = 0;  ///< degraded-mode abstentions
-        std::size_t verdicts_retracted = 0;     ///< after announcements
-        std::size_t partition_activations = 0;
-        std::size_t partition_heals = 0;
-        std::size_t partition_blocked_packets = 0;
-        std::size_t resync_rounds = 0;  ///< heal-time anti-entropy probes
-        // --- attack-campaign activity (what the adversary did) -----------
-        std::size_t equivocations_published = 0;  ///< per-peer variant rounds
-        std::size_t replays_published = 0;        ///< stale re-advertisements
-        std::size_t slanders_filed = 0;           ///< forged accusations
-        std::size_t spam_puts = 0;                ///< junk DHT insertions
-        std::size_t collusions_pushed = 0;        ///< fabricated revisions
-        // --- defense outcomes (what the protocol caught) -----------------
-        std::size_t snapshots_rejected_stale = 0;  ///< archive transit check
-        std::size_t snapshots_rejected_epoch = 0;  ///< archive replay floor
-        std::size_t equivocation_proofs_filed = 0;
-        std::size_t revisions_rejected = 0;  ///< failed re-verification
-        std::size_t dht_puts_rejected = 0;   ///< writer quota exhausted
+#define CONCILIUM_STATS_FIELD(name) std::size_t name = 0;
+        CONCILIUM_CLUSTER_STATS(CONCILIUM_STATS_FIELD)
+#undef CONCILIUM_STATS_FIELD
+
+        /// Calls fn(name, value) for every counter, in declaration order.
+        template <typename Fn>
+        void for_each(Fn&& fn) const {
+#define CONCILIUM_STATS_VISIT(name) fn(#name, name);
+            CONCILIUM_CLUSTER_STATS(CONCILIUM_STATS_VISIT)
+#undef CONCILIUM_STATS_VISIT
+        }
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -356,12 +373,12 @@ class Cluster {
         std::uint64_t next_epoch = 1;
         /// Replayer state: the first favorable snapshot (sealed),
         /// re-advertised verbatim every later round.
-        std::shared_ptr<const PublishedSnapshot> replay_stash;
+        std::shared_ptr<const PublishedSnapshot> replay_stash{};
         /// Commitments this node collected as a steward, by issuing member
         /// -- a colluder's raw material for fabricated revisions.  Keyed by
         /// dense MemberIndex; NodeIds resolve at the call boundary.
         std::unordered_map<overlay::MemberIndex, core::ForwardingCommitment>
-            collected;
+            collected{};
         /// Round-robin victim cursors for slander / spam rounds.
         std::size_t slander_cursor = 0;
         std::size_t spam_cursor = 0;
@@ -369,8 +386,11 @@ class Cluster {
         /// the basis for verdict retraction and accusation abstention.
         std::unordered_map<overlay::MemberIndex,
                            std::vector<RecoveryAnnouncement>>
-            recovery_seen;
+            recovery_seen{};
     };
+    /// A node's state at first boot and after a crash-stop: empty archive
+    /// bound to the shared interner, fresh ledger, epoch 1.
+    [[nodiscard]] NodeState fresh_node_state();
 
     // --- POD event dispatch ------------------------------------------------
     /// Simulation events ride EventSim's POD queue: an op code plus two
@@ -422,12 +442,25 @@ class Cluster {
 
     // --- routing-state exchange -------------------------------------------
     void exchange_routing_state();
+    /// m's signed jump-table advertisement as m publishes it: a suppressor
+    /// (advertised_table_fraction < 1) cuts the entries and re-signs.
+    [[nodiscard]] overlay::JumpTableAdvertisement own_advertisement(
+        overlay::MemberIndex m) const;
+    /// `peer`'s full validation of `ad` against its own table's density.
+    [[nodiscard]] bool accepts_advertisement(
+        overlay::MemberIndex peer,
+        const overlay::JumpTableAdvertisement& ad) const;
+
+    // --- periodic rounds ---------------------------------------------------
+    /// Arms m's next probe / slander / spam round, uniform in
+    /// [0, probe_interval_max].
+    void schedule_round(Op op, overlay::MemberIndex m);
+    /// Runs the round if m is online, then re-arms it either way.
+    void run_round(Op op, overlay::MemberIndex m);
 
     // --- probing ---------------------------------------------------------
-    void schedule_probe_round(overlay::MemberIndex m);
-    void run_probe_round(overlay::MemberIndex m);
-    /// One probe round without rescheduling the next: the heal-time resync
-    /// and post-restart refresh path.
+    /// One probe round without rescheduling the next: the periodic round's
+    /// body, and the heal-time resync and post-restart refresh path.
     void probe_round_once(overlay::MemberIndex m);
     void run_heavyweight(overlay::MemberIndex m);
     void publish_snapshot(overlay::MemberIndex m,
@@ -442,30 +475,29 @@ class Cluster {
                           const PublishedSnapshot& published);
 
     // --- attack campaign + evidence-integrity defenses ---------------------
-    /// Equivocator variant for one peer: even peer ranks get the snapshot
-    /// as-is, odd ranks a fully link-flipped re-signed twin (same epoch).
+    /// Equivocator twin of `base`: every link and path flipped, re-signed
+    /// over the same origin+epoch.
     [[nodiscard]] tomography::TomographicSnapshot equivocation_variant(
-        overlay::MemberIndex m, const tomography::TomographicSnapshot& base,
-        std::size_t peer_rank) const;
+        overlay::MemberIndex m,
+        const tomography::TomographicSnapshot& base) const;
     /// Cross-peer digest exchange: after archiving `published` at `holder`,
     /// compare interned digest ids against what the origin's other routing
     /// peers hold for the same epoch; only an id mismatch builds and
     /// verifies a full self-verifying proof for the DHT.
     void detect_equivocation(overlay::MemberIndex holder,
                              const PublishedSnapshot& published);
-    void schedule_slander_round(overlay::MemberIndex m);
-    void run_slander_round(overlay::MemberIndex m);
-    void schedule_spam_round(overlay::MemberIndex m);
-    void run_spam_round(overlay::MemberIndex m);
+    void slander_round_once(overlay::MemberIndex m);
+    void spam_round_once(overlay::MemberIndex m);
     /// Colluder reaction to its own drop: push a fabricated guilty revision
     /// against the hop it framed, upstream toward the sender.
     void push_fabricated_revision(std::uint64_t msg_id, std::size_t hop);
 
     // --- chaos -------------------------------------------------------------
     void schedule_churn();
-    /// Extra delivery delay when a per-packet chaos effect fires (0 when no
-    /// plan is attached or the draw misses).
-    util::SimTime chaos_extra_delay(double rate, const char* counter_name);
+    /// Extra delivery delay when the per-packet chaos effect `rate` fires
+    /// (0 when no plan is attached or the draw misses).
+    util::SimTime chaos_extra_delay(double net::FaultPlan::*rate,
+                                    const char* counter_name);
 
     // --- crash recovery + partitions (RECOVERY.md) --------------------------
     void schedule_recovery_faults();
@@ -519,18 +551,30 @@ class Cluster {
                         const core::BlameEvidence& evidence,
                         std::size_t to_hop);
     void maybe_complete(std::uint64_t msg_id);
+    /// Closes the message as acknowledged end to end.
+    void complete_delivered(MessageContext& ctx);
+    /// Closes a diagnosed message: records its trace, then reports it.
+    void finish_diagnosis(const MessageContext& ctx,
+                          const MessageOutcome& outcome);
 
+    /// Evidence with the judge, suspect, message and path filled in for
+    /// the judge at route position `judge_hop`.
+    [[nodiscard]] core::BlameEvidence evidence_header(
+        const MessageContext& ctx, std::size_t judge_hop) const;
     core::BlameEvidence build_evidence(const MessageContext& ctx,
                                        std::size_t judge_hop,
                                        core::BlameBreakdown* breakdown_out =
                                            nullptr) const;
     void record_trace(const MessageContext& ctx,
                       const MessageOutcome& outcome);
-    void file_accusation(const MessageContext& ctx);
 
     /// The third-party verification context every node shares: this
     /// cluster's key registry, blame/verdict parameters, and link map.
     [[nodiscard]] core::AccusationVerifier make_verifier() const;
+    /// Reads every T (accusation or equivocation proof) stored against m,
+    /// as an arbitrary third party; malformed values are skipped.
+    template <typename T>
+    [[nodiscard]] std::vector<T> fetch_against(overlay::MemberIndex m) const;
 
     /// IP link path for route segment hop -> hop+1, as a span into the
     /// trees' arena (empty when no IP path exists).  Zero-allocation: this

@@ -74,7 +74,7 @@ TomographicSnapshot read_snapshot_wire(util::ByteReader& r) {
     s.origin = r.node_id();
     s.epoch = r.u64();
     s.probed_at = r.i64();
-    const std::uint32_t paths = r.u32();
+    const std::uint32_t paths = r.count(util::NodeId::kBytes + 1);
     s.paths.reserve(paths);
     for (std::uint32_t i = 0; i < paths; ++i) {
         PathSummary p;
@@ -82,7 +82,7 @@ TomographicSnapshot read_snapshot_wire(util::ByteReader& r) {
         p.bucket = static_cast<LossBucket>(r.u8());
         s.paths.push_back(p);
     }
-    const std::uint32_t links = r.u32();
+    const std::uint32_t links = r.count(sizeof(std::uint32_t) + 1);
     s.links.reserve(links);
     for (std::uint32_t i = 0; i < links; ++i) {
         LinkObservation l;

@@ -95,6 +95,14 @@ double ByteReader::f64() {
     return v;
 }
 
+std::uint32_t ByteReader::count(std::size_t min_item_bytes) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / min_item_bytes) {
+        throw std::out_of_range("ByteReader: count exceeds message size");
+    }
+    return n;
+}
+
 std::vector<std::uint8_t> ByteReader::bytes() {
     const std::uint32_t n = u32();
     need(n);

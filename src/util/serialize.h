@@ -59,6 +59,10 @@ class ByteReader {
     std::vector<std::uint8_t> bytes();
     std::string str();
     NodeId node_id();
+    /// A u32 element count, checked before anyone sizes a container by it:
+    /// throws std::out_of_range unless that many elements of at least
+    /// `min_item_bytes` (>= 1) each fit in the bytes left.
+    std::uint32_t count(std::size_t min_item_bytes = 1);
 
     [[nodiscard]] bool exhausted() const noexcept {
         return offset_ == data_.size();

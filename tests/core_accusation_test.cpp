@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "crypto/certificates.h"
+#include "util/serialize.h"
 
 namespace concilium::core {
 namespace {
@@ -128,6 +129,42 @@ TEST_F(AccusationFixture, SerializationRoundTrips) {
     longer.push_back(0);
     EXPECT_THROW(FaultAccusation::deserialize(longer),
                  std::invalid_argument);
+}
+
+TEST_F(AccusationFixture, HugeCountsOnTheWireThrowOutOfRange) {
+    // A count read from untrusted bytes is checked against the bytes left
+    // before anything is sized by it.
+    util::ByteWriter evidence_count;
+    evidence_count.node_id(id("a"));
+    evidence_count.u32(0xFFFFFFFF);
+    evidence_count.u64(0);
+    EXPECT_THROW(FaultAccusation::deserialize(evidence_count.data()),
+                 std::out_of_range);
+
+    util::ByteWriter link_count;
+    link_count.node_id(id("a"));
+    link_count.u32(1);  // one evidence record ...
+    link_count.node_id(id("a"));
+    link_count.node_id(id("b"));
+    link_count.u64(7);
+    link_count.i64(0);
+    link_count.u32(0xFFFFFFFF);  // ... claiming 2^32 - 1 path links
+    link_count.u64(0);
+    EXPECT_THROW(FaultAccusation::deserialize(link_count.data()),
+                 std::out_of_range);
+
+    util::ByteWriter snapshot_count;
+    snapshot_count.node_id(id("a"));
+    snapshot_count.u32(1);
+    snapshot_count.node_id(id("a"));
+    snapshot_count.node_id(id("b"));
+    snapshot_count.u64(7);
+    snapshot_count.i64(0);
+    snapshot_count.u32(0);
+    snapshot_count.u32(0xFFFFFFFF);  // 2^32 - 1 evidence snapshots
+    snapshot_count.u64(0);
+    EXPECT_THROW(FaultAccusation::deserialize(snapshot_count.data()),
+                 std::out_of_range);
 }
 
 TEST_F(AccusationFixture, DhtKeyIsStablePerPublicKey) {

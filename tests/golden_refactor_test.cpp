@@ -124,28 +124,8 @@ std::uint64_t fnv_outcome(std::uint64_t h,
 }
 
 std::uint64_t fnv_stats(const runtime::Cluster::Stats& s) {
-    const std::size_t fields[] = {
-        s.messages, s.delivered, s.dropped_by_forwarder,
-        s.dropped_by_network, s.guilty_verdicts, s.innocent_verdicts,
-        s.accusations_filed, s.revisions_pushed, s.revisions_applied,
-        s.snapshots_published, s.snapshots_rejected, s.lightweight_rounds,
-        s.heavyweight_sessions, s.commitments_issued, s.commitments_refused,
-        s.reputation_votes, s.advertisements_accepted,
-        s.advertisements_rejected, s.forward_retransmissions,
-        s.snapshot_retries, s.snapshot_deliveries_failed,
-        s.duplicates_suppressed, s.churn_leaves, s.churn_rejoins, s.crashes,
-        s.restarts, s.journal_replays, s.recovery_announcements,
-        s.recovery_repairs_accepted, s.recovery_repairs_rejected,
-        s.stewardships_resumed, s.stewardships_abandoned,
-        s.insufficient_verdicts, s.verdicts_retracted,
-        s.partition_activations, s.partition_heals,
-        s.partition_blocked_packets, s.resync_rounds,
-        s.equivocations_published, s.replays_published, s.slanders_filed,
-        s.spam_puts, s.collusions_pushed, s.snapshots_rejected_stale,
-        s.snapshots_rejected_epoch, s.equivocation_proofs_filed,
-        s.revisions_rejected, s.dht_puts_rejected};
     std::uint64_t h = kFnvOffset;
-    for (const std::size_t f : fields) h = fnv(h, f);
+    s.for_each([&h](const char*, std::size_t value) { h = fnv(h, value); });
     return h;
 }
 
@@ -241,6 +221,162 @@ TEST(GoldenRefactor, ClusterRunIsByteIdentical) {
     EXPECT_EQ(outcomes, 0x5de431ac0cf8dd13ULL);
     EXPECT_EQ(fnv_stats(s), 0x5baf17aee4d96b3dULL);
     EXPECT_EQ(counters, 0x7558029c0b0e1294ULL);
+}
+
+TEST(GoldenRefactor, ClusterAttackRunIsByteIdentical) {
+    // The roles the run above leaves out: a colluding dropper, a report
+    // flipper, a probe-ack suppressor and fabricator, commitment and
+    // revision refusers, and a slanderer, a spammer and a table suppressor
+    // that each crash mid-run (so their round-robin cursors must survive
+    // the restart and the recovery handshake re-advertises the suppressed
+    // table).  Duplicated, reordered and held-back packets cross every
+    // chaos delay draw.
+    sim::ScenarioParams params;
+    params.topology = net::small_params();
+    params.topology.end_hosts = 300;
+    params.overlay_nodes_override = 40;
+    params.duration = 20 * util::kMinute;
+    params.chaos =
+        net::FaultSpec::parse("reorder:0.3,dup:0.3,ackdelay:0.3,crash:0.1");
+    params.seed = 47;
+    const sim::Scenario world(params);
+    const auto& net = world.overlay_net();
+    const std::size_t n = net.size();
+
+    util::Rng pick(9);
+    std::vector<std::pair<overlay::MemberIndex, util::NodeId>> sends;
+    for (int i = 0; i < 40; ++i) {
+        const auto from =
+            static_cast<overlay::MemberIndex>(pick.uniform_index(n));
+        sends.emplace_back(from, util::NodeId::random(pick));
+    }
+    // Exclusive roles: forwarders come from the workload's routes, the
+    // crashing roles from the fault plan, the rest from what is left.
+    std::vector<bool> taken(n, false);
+    const auto claim = [&](overlay::MemberIndex m) {
+        taken[m] = true;
+        return m;
+    };
+    std::vector<overlay::MemberIndex> forwarders;
+    for (const auto& [from, key] : sends) {
+        const auto route = net.route(from, key);
+        if (forwarders.size() < 3 && route.size() >= 3 &&
+            !taken[route[1]]) {
+            forwarders.push_back(claim(route[1]));
+        }
+    }
+    ASSERT_EQ(forwarders.size(), 3u);
+    std::vector<overlay::MemberIndex> crashers;
+    for (const net::CrashEvent& ev : world.fault_plan().crashes) {
+        const auto m = static_cast<overlay::MemberIndex>(ev.node);
+        if (crashers.size() < 3 && ev.node < n && !taken[m]) {
+            crashers.push_back(claim(m));
+        }
+    }
+    ASSERT_EQ(crashers.size(), 3u);
+    std::vector<overlay::MemberIndex> rest;
+    for (overlay::MemberIndex m = 0; m < n && rest.size() < 3; ++m) {
+        if (!taken[m]) rest.push_back(claim(m));
+    }
+    ASSERT_EQ(rest.size(), 3u);
+
+    std::vector<runtime::NodeBehavior> behaviors(n);
+    behaviors[forwarders[0]].drop_forward_probability = 1.0;
+    behaviors[forwarders[0]].collude_revisions = true;
+    behaviors[forwarders[1]].refuse_commitments = true;
+    behaviors[forwarders[2]].refuse_revisions = true;
+    behaviors[crashers[0]].slander = true;
+    behaviors[crashers[1]].spam_accusations = true;
+    behaviors[crashers[2]].advertised_table_fraction = 0.3;
+    behaviors[rest[0]].flip_probe_reports = true;
+    behaviors[rest[1]].suppress_probe_acks = 0.5;
+    behaviors[rest[2]].fabricate_probe_acks = true;
+
+    auto& registry = util::metrics::Registry::global();
+    registry.reset();
+    runtime::RuntimeParams rp;
+    rp.validation.gamma = 2.5;
+    rp.forward_retry.max_attempts = 3;
+    net::EventSim sim;
+    runtime::Cluster cluster(sim, world.timeline(), net, world.trees(), rp,
+                             behaviors, util::Rng(13));
+    cluster.set_chaos(&world.fault_plan());
+    cluster.start();
+    sim.run_until(3 * util::kMinute);
+
+    std::uint64_t outcomes = kFnvOffset;
+    std::size_t completed = 0;
+    for (const auto& [from, key] : sends) {
+        cluster.send(from, key,
+                     [&](const runtime::Cluster::MessageOutcome& o) {
+                         // Completion times see every chaos delay draw.
+                         outcomes = fnv(fnv_outcome(outcomes, o),
+                                        static_cast<std::uint64_t>(sim.now()));
+                         ++completed;
+                     });
+        sim.run_until(sim.now() + 20 * util::kSecond);
+    }
+    sim.run_until(sim.now() + 5 * util::kMinute);
+
+    std::uint64_t counters = kFnvOffset;
+    for (const auto& c : registry.snapshot().counters) {
+        if (c.timing) continue;
+        if (!c.name.starts_with("attack.") &&
+            !c.name.starts_with("defense.") &&
+            !c.name.starts_with("chaos.") &&
+            !c.name.starts_with("recovery.") &&
+            !c.name.starts_with("tomography.") &&
+            !c.name.starts_with("net.events_")) {
+            continue;
+        }
+        for (const char ch : c.name) {
+            counters = fnv(counters, static_cast<std::uint8_t>(ch));
+        }
+        counters = fnv(counters, static_cast<std::uint64_t>(c.value));
+    }
+    // Every value stored under each member's accusation key, spam included.
+    std::uint64_t accusations = kFnvOffset;
+    for (overlay::MemberIndex m = 0; m < n; ++m) {
+        const auto key =
+            core::FaultAccusation::dht_key(net.member(m).keys.public_key());
+        for (const auto& value : cluster.repository().get(0, key).values) {
+            accusations = fnv(accusations, value.size());
+            for (const auto b : value) accusations = fnv(accusations, b);
+        }
+    }
+
+    // Every node's archive, by the signatures over what it holds.
+    std::uint64_t archives = kFnvOffset;
+    for (overlay::MemberIndex m = 0; m < n; ++m) {
+        for (overlay::MemberIndex origin = 0; origin < n; ++origin) {
+            for (const auto* snap :
+                 cluster.archive(m).snapshots_from(net.member(origin).id())) {
+                for (const auto b : snap->signature.bytes()) {
+                    archives = fnv(archives, b);
+                }
+            }
+        }
+    }
+
+    // The run reached every path it is meant to pin down.
+    const auto& s = cluster.stats();
+    EXPECT_GT(completed, 0u);
+    EXPECT_GT(s.slanders_filed, 0u);
+    EXPECT_GT(s.spam_puts, 0u);
+    EXPECT_GT(s.collusions_pushed, 0u);
+    EXPECT_GT(s.revisions_rejected, 0u);
+    EXPECT_GT(s.commitments_refused, 0u);
+    EXPECT_GT(s.advertisements_rejected, 0u);
+    EXPECT_GT(s.recovery_repairs_rejected, 0u);
+    EXPECT_GT(s.restarts, 0u);
+    EXPECT_GT(s.duplicates_suppressed, 0u);
+    EXPECT_GT(s.heavyweight_sessions, 0u);
+
+    EXPECT_EQ(outcomes, 0xb0635791531746dfULL);
+    EXPECT_EQ(fnv_stats(s), 0x59ceb80eb7853c45ULL);
+    EXPECT_EQ(counters, 0x439927241126f5ceULL);
+    EXPECT_EQ(accusations, 0xcf3a08eb91445d2fULL);
+    EXPECT_EQ(archives, 0xd4ac205ff4f90966ULL);
 }
 
 }  // namespace

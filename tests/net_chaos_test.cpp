@@ -6,7 +6,6 @@
 
 #include <stdexcept>
 
-#include "net/event_sim.h"
 #include "net/transport.h"
 #include "util/rng.h"
 
@@ -310,8 +309,7 @@ TEST(FaultPlan, LossAtReportsActiveSpikesOnly) {
 TEST(Transport, ChaosDownsAndSpikesFoldIntoPassProbability) {
     FailureTimeline timeline;
     timeline.finalize();  // scenario says every link is healthy
-    net::EventSim sim;
-    Transport transport(timeline, sim, util::Rng(3));
+    Transport transport(timeline, util::Rng(3));
 
     FaultPlan plan;
     plan.downs.add_down(1, {10 * kSecond, 20 * kSecond});
@@ -335,8 +333,7 @@ TEST(Transport, ScenarioDownWinsOverChaos) {
     FailureTimeline timeline;
     timeline.add_down(5, {0, kMinute});
     timeline.finalize();
-    net::EventSim sim;
-    Transport transport(timeline, sim, util::Rng(3));
+    Transport transport(timeline, util::Rng(3));
     FaultPlan plan;
     plan.downs.finalize();
     transport.set_chaos(&plan);

@@ -159,55 +159,10 @@ TEST(Transport, PassProbabilityReflectsLinkState) {
     FailureTimeline timeline;
     timeline.add_down(0, DownInterval{0, 10 * kSecond});
     timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(1),
+    Transport transport(timeline, util::Rng(1),
                         TransportParams{.healthy_link_loss = 0.25});
     EXPECT_DOUBLE_EQ(transport.pass_probability(0, 5 * kSecond), 0.0);
     EXPECT_DOUBLE_EQ(transport.pass_probability(0, 15 * kSecond), 0.75);
-}
-
-TEST(Transport, SendDeliversOverHealthyPath) {
-    Topology topo;
-    topo.add_router(RouterTier::kEndHost);
-    topo.add_router(RouterTier::kCore);
-    topo.add_router(RouterTier::kEndHost);
-    topo.add_link(0, 1);
-    topo.add_link(1, 2);
-    const PathOracle oracle(topo);
-    const Path path = oracle.path(0, 2);
-
-    FailureTimeline timeline;
-    timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(2));
-    bool delivered = false;
-    bool dropped = false;
-    transport.send(path, [&] { delivered = true; }, [&] { dropped = true; });
-    sim.run_all();
-    EXPECT_TRUE(delivered);
-    EXPECT_FALSE(dropped);
-    EXPECT_EQ(sim.now(), transport.latency(path));
-}
-
-TEST(Transport, SendDropsWhenLinkDown) {
-    Topology topo;
-    topo.add_router(RouterTier::kEndHost);
-    topo.add_router(RouterTier::kEndHost);
-    const LinkId l = topo.add_link(0, 1);
-    const PathOracle oracle(topo);
-    const Path path = oracle.path(0, 1);
-
-    FailureTimeline timeline;
-    timeline.add_down(l, DownInterval{0, util::kHour});
-    timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(3));
-    bool delivered = false;
-    bool dropped = false;
-    transport.send(path, [&] { delivered = true; }, [&] { dropped = true; });
-    sim.run_all();
-    EXPECT_FALSE(delivered);
-    EXPECT_TRUE(dropped);
 }
 
 TEST(Transport, ResidualLossDropsSomePackets) {
@@ -219,14 +174,12 @@ TEST(Transport, ResidualLossDropsSomePackets) {
 
     FailureTimeline timeline;
     timeline.finalize();
-    EventSim sim;
-    Transport transport(timeline, sim, util::Rng(4),
+    Transport transport(timeline, util::Rng(4),
                         TransportParams{.healthy_link_loss = 0.5});
     int delivered = 0;
     for (int i = 0; i < 400; ++i) {
-        transport.send(path, [&] { ++delivered; }, [] {});
+        if (transport.sample_traversal(path, 0)) ++delivered;
     }
-    sim.run_all();
     EXPECT_NEAR(delivered, 200, 45);
 }
 

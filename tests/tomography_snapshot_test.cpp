@@ -5,6 +5,7 @@
 #include "tomography/inference.h"
 #include "tomography/probing.h"
 #include "tomography/snapshot.h"
+#include "util/serialize.h"
 #include "util/rng.h"
 
 namespace concilium::tomography {
@@ -19,6 +20,28 @@ TEST(LossBucket, QuantizationBoundaries) {
     EXPECT_EQ(quantize_loss(0.2), LossBucket::kHigh);
     EXPECT_EQ(quantize_loss(0.8), LossBucket::kDown);
     EXPECT_EQ(quantize_loss(1.0), LossBucket::kDown);
+}
+
+TEST(SnapshotWire, HugeCountsThrowOutOfRange) {
+    const util::NodeId origin = util::NodeId::hash_of("origin");
+    util::ByteWriter paths;
+    paths.node_id(origin);
+    paths.u64(1);
+    paths.i64(0);
+    paths.u32(0xFFFFFFFF);  // 2^32 - 1 path summaries
+    paths.u64(0);
+    util::ByteReader paths_reader(paths.data());
+    EXPECT_THROW(read_snapshot_wire(paths_reader), std::out_of_range);
+
+    util::ByteWriter links;
+    links.node_id(origin);
+    links.u64(1);
+    links.i64(0);
+    links.u32(0);
+    links.u32(0xFFFFFFFF);  // 2^32 - 1 link observations
+    links.u64(0);
+    util::ByteReader links_reader(links.data());
+    EXPECT_THROW(read_snapshot_wire(links_reader), std::out_of_range);
 }
 
 TEST(LossBucket, RepresentativeLossIsInsideBucket) {

@@ -66,6 +66,26 @@ TEST(Serialize, TruncatedReadsThrow) {
     EXPECT_THROW(r2.str(), std::out_of_range);
 }
 
+TEST(Serialize, CountMustFitTheBytesLeft) {
+    ByteWriter w;
+    w.u32(2);
+    w.u32(0xAAAAAAAA);
+    w.u32(0xBBBBBBBB);
+    {
+        ByteReader r(w.data());
+        EXPECT_EQ(r.count(4), 2u);  // two u32 elements fit exactly
+    }
+    {
+        ByteReader r(w.data());
+        EXPECT_THROW(r.count(5), std::out_of_range);
+    }
+    ByteWriter huge;
+    huge.u32(0xFFFFFFFF);
+    huge.u8(0);
+    ByteReader r(huge.data());
+    EXPECT_THROW(r.count(), std::out_of_range);
+}
+
 TEST(Serialize, RemainingTracksProgress) {
     ByteWriter w;
     w.u32(1);
