@@ -237,17 +237,14 @@ struct ProbeKernel {
     /// feedback verification, then MINC on the surviving feedback.
     [[nodiscard]] std::size_t heavyweight(util::SimTime t0,
                                           util::Rng& rng) const {
-        const auto session = tomography::run_heavyweight_session(
+        auto session = tomography::run_heavyweight_session(
             *tree, pass, t0, tomography::HeavyweightParams{.probe_count = 100},
             {}, rng);
-        const auto fabricators = tomography::detect_fabricators(
-            tree->leaves().size(), session.probes);
-        const auto suppressors = tomography::detect_suppressors(
+        const auto excluded = tomography::exclude_unverified_feedback(
             *tree, session.probes, tomography::SuppressionTestParams{});
         const auto inference =
             tomography::infer_link_loss(*tree, session.probes);
-        return fabricators.size() + suppressors.size() +
-               inference.links.size();
+        return excluded.size() + inference.links.size();
     }
 
     net::Topology topo;
@@ -404,7 +401,7 @@ int main(int argc, char** argv) {
         for (int i = 0; i < kStripes; ++i) {
             sink += concilium::tomography::sample_striped_probe(
                         *kernel.tree, kernel.pass, i * 1000, {}, rng)
-                        .received.size();
+                        .acked.size();
         }
         const double stripes_per_sec = rate(kStripes, start);
         constexpr int kSessions = 200;

@@ -655,48 +655,16 @@ void Cluster::run_heavyweight(overlay::MemberIndex m) {
     auto session = tomography::run_heavyweight_session(
         tree, pass, sim_->now(), params_.heavyweight, behaviors, rng_);
 
-    // Feedback verification (Section 3.3): exclude fabricators (invalid
-    // nonces) and suppressors (implausible conditional ack rates) before
-    // inference.  Most sessions exclude nobody; the rest clear the flagged
-    // leaves' acks in place instead of copying every stripe.
-    const auto fabricators =
-        tomography::detect_fabricators(tree.leaves().size(), session.probes);
-    const auto suppressors = tomography::detect_suppressors(
+    // Feedback verification (Section 3.3): fabricators and suppressors are
+    // excluded before inference, and the snapshot reports no link that only
+    // an excluded leaf could vouch for.
+    const auto excluded = tomography::exclude_unverified_feedback(
         tree, session.probes, tomography::SuppressionTestParams{});
-    std::vector<bool> excluded(tree.leaves().size(), false);
-    bool any_excluded = false;
-    for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
-        excluded[leaf] = fabricators[leaf] || suppressors[leaf];
-        any_excluded = any_excluded || excluded[leaf];
-    }
-    if (any_excluded) {
-        tomography::exclude_leaves(session.probes, excluded);
-    }
     const auto inference = tomography::infer_link_loss(tree, session.probes);
-    auto snapshot = tomography::make_snapshot(
-        net_->member(m).id(), net_->member(m).keys, sim_->now(), tree,
-        inference, params_.snapshot, trees_->leaf_ids(m));
-
-    // An excluded leaf's silenced feedback makes its last mile *look* dead;
-    // links that are only observable through excluded leaves carry no
-    // evidence and must not be reported at all.
-    if (any_excluded) {
-        std::unordered_map<net::LinkId, bool> observable;
-        for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
-            if (excluded[leaf]) continue;
-            for (const net::LinkId l :
-                 trees_->slot_path_links(m, static_cast<int>(leaf))) {
-                observable[l] = true;
-            }
-        }
-        std::erase_if(snapshot.links,
-                      [&](const tomography::LinkObservation& obs) {
-                          return !observable.contains(obs.link);
-                      });
-        snapshot.signature =
-            net_->member(m).keys.sign(snapshot.signed_payload());
-    }
-    publish_snapshot(m, std::move(snapshot));
+    publish_snapshot(m, tomography::make_snapshot(
+                            net_->member(m).id(), sim_->now(), tree,
+                            inference, excluded, params_.snapshot,
+                            trees_->leaf_ids(m)));
 }
 
 std::shared_ptr<const Cluster::PublishedSnapshot> Cluster::seal(
@@ -735,6 +703,7 @@ void Cluster::publish_snapshot(overlay::MemberIndex m,
     // between publish and checkpoint must never let the restarted node
     // re-issue an epoch its peers already archived.
     journals_[m].record_epoch(nodes_[m].next_epoch);
+    // The one place a node signs its own snapshot: over the final epoch.
     snapshot.signature =
         net_->member(m).keys.sign(snapshot.signed_payload());
     ++stats_.snapshots_published;

@@ -79,7 +79,7 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
     const auto& nodes = tree.nodes();
     const std::size_t n = nodes.size();
 
-    // gamma_hat[k]: fraction of probes with a (nonce-valid) ack from some
+    // gamma_hat[k]: fraction of probes with a verified ack from some
     // leaf in k's subtree.  One bottom-up pass per probe.
     std::vector<int> ack_any(n, 0);
     // Children are always appended after their parent, so iterating node
@@ -91,8 +91,7 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
             const auto& node = nodes[k];
             bool hit = false;
             if (node.leaf_slot.has_value()) {
-                const auto slot = static_cast<std::size_t>(*node.leaf_slot);
-                hit = rec.acked[slot] && rec.nonce_valid[slot];
+                hit = rec.acked[static_cast<std::size_t>(*node.leaf_slot)];
             }
             for (const int c : node.children) {
                 hit = hit || probe_hit[static_cast<std::size_t>(c)];
@@ -149,11 +148,11 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
             if (nodes[k].leaf_slot.has_value()) {
                 // A probed interior endpoint: its own acks behave like a
                 // zero-loss virtual child.
-                const auto slot = *nodes[k].leaf_slot;
+                const auto slot =
+                    static_cast<std::size_t>(*nodes[k].leaf_slot);
                 double own = 0.0;
                 for (const ProbeRecord& rec : probes) {
-                    const auto s = static_cast<std::size_t>(slot);
-                    if (rec.acked[s] && rec.nonce_valid[s]) own += 1.0;
+                    if (rec.acked[slot]) own += 1.0;
                 }
                 child_gammas.push_back(own /
                                        static_cast<double>(probes.size()));
@@ -181,8 +180,9 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
         std::size_t walk = k;
         double cum = a_k;
         for (int hop = 0; hop < chain_len; ++hop) {
-            result.links.push_back(LinkLossEstimate{
-                nodes[walk].via, chain_loss, chain_len, observable});
+            result.links.push_back(
+                LinkLossEstimate{nodes[walk].via, static_cast<int>(walk),
+                                 chain_loss, chain_len, observable});
             const auto parent = static_cast<std::size_t>(nodes[walk].parent);
             if (hop + 1 < chain_len) {
                 cum /= per_hop;

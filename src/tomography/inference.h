@@ -32,6 +32,8 @@ namespace concilium::tomography {
 
 struct LinkLossEstimate {
     net::LinkId link = net::kInvalidLink;
+    /// Index of the tree node that owns the link (its `via`).
+    int node = -1;
     /// Aggregate loss of the identifiability unit (chain) containing this
     /// link, in [0, 1].
     double loss = 0.0;
@@ -53,8 +55,8 @@ struct InferenceResult {
     [[nodiscard]] double loss_of(net::LinkId link) const;
 };
 
-/// Runs the estimator over a probe session.  Probes whose acks carry invalid
-/// nonces are treated as losses (the fabricated-ack defence, Section 3.3).
+/// Runs the estimator over a probe session.  Only verified acks count:
+/// fabricated acks are treated as losses (the defence of Section 3.3).
 InferenceResult infer_link_loss(const ProbeTree& tree,
                                 std::span<const ProbeRecord> probes);
 

@@ -81,25 +81,21 @@ void sample_into(const ProbeTree& tree,
     }
 
     const std::size_t n = tree.leaves().size();
-    record.received.assign(n, false);
     record.acked.assign(n, false);
-    record.nonce_valid.assign(n, false);
+    record.fabricated.assign(n, false);
     const auto& leaf_nodes = tree.leaf_nodes();
     for (std::size_t leaf = 0; leaf < n; ++leaf) {
         const LeafBehavior& b = behavior_of(behaviors, leaf);
         if (reached[static_cast<std::size_t>(leaf_nodes[leaf])] != 0) {
-            record.received[leaf] = true;
             const bool suppressed = rng.bernoulli(b.suppress_ack_probability);
             record.acked[leaf] = !suppressed;
-            record.nonce_valid[leaf] = !suppressed;
             suppressed ? ++tally.suppressed : ++tally.acks;
         } else {
             ++tally.lost;
             if (b.fabricate_acks) {
                 // The nonce travelled inside the lost probe; a fabricated ack
                 // cannot echo it (Section 3.3).
-                record.acked[leaf] = true;
-                record.nonce_valid[leaf] = false;
+                record.fabricated[leaf] = true;
                 ++tally.fabricated;
             }
         }
@@ -139,7 +135,6 @@ HeavyweightResult run_heavyweight_session(
     sessions.add(1);
     HeavyweightResult result;
     result.started_at = t0;
-    result.ack_counts.assign(tree.leaves().size(), 0);
     result.probes.resize(static_cast<std::size_t>(params.probe_count));
     std::vector<char> reached;
     StripeTally tally;
@@ -147,11 +142,6 @@ HeavyweightResult run_heavyweight_session(
     for (ProbeRecord& rec : result.probes) {
         sample_into(tree, pass_probability, t, behaviors, rng, reached, rec,
                     tally);
-        for (std::size_t leaf = 0; leaf < rec.acked.size(); ++leaf) {
-            if (rec.acked[leaf] && rec.nonce_valid[leaf]) {
-                ++result.ack_counts[leaf];
-            }
-        }
         t += params.spacing;
     }
     tally.flush();
@@ -166,16 +156,11 @@ LightweightResult run_lightweight_probe(
     static auto& rounds = util::metrics::Registry::global().counter(
         "tomography.lightweight_rounds");
     rounds.add(1);
+    // Only verified acknowledgments count (Section 3.3): a fabricated ack
+    // cannot make a leaf look responsive.
     LightweightResult result;
-    result.first_stripe =
-        sample_striped_probe(tree, pass_probability, t, behaviors, rng);
-    // Only nonce-valid acknowledgments count (Section 3.3): a fabricated
-    // ack cannot make a leaf look responsive.
-    result.responsive.assign(tree.leaves().size(), false);
-    for (std::size_t leaf = 0; leaf < result.responsive.size(); ++leaf) {
-        result.responsive[leaf] = result.first_stripe.acked[leaf] &&
-                                  result.first_stripe.nonce_valid[leaf];
-    }
+    result.responsive =
+        sample_striped_probe(tree, pass_probability, t, behaviors, rng).acked;
     // "it sends a few more probes to silent peers to determine if they are
     // truly offline or situated along a lossy IP link" (Section 3.2)
     for (int r = 0; r < retries; ++r) {
@@ -191,9 +176,7 @@ LightweightResult run_lightweight_probe(
             tree, pass_probability, t + (r + 1) * util::kSecond, behaviors,
             rng);
         for (std::size_t leaf = 0; leaf < result.responsive.size(); ++leaf) {
-            if (again.acked[leaf] && again.nonce_valid[leaf]) {
-                result.responsive[leaf] = true;
-            }
+            if (again.acked[leaf]) result.responsive[leaf] = true;
         }
     }
     return result;

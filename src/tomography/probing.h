@@ -9,8 +9,9 @@
 // link is sampled once, and a leaf receives the probe iff all links on its
 // root path passed.  Leaves acknowledge; misbehaving leaves may suppress
 // acknowledgments for received probes or fabricate acknowledgments for lost
-// ones (Section 3.3) -- fabricated acks carry an invalid nonce because the
-// nonce travelled only inside the lost probe.
+// ones (Section 3.3) -- fabricated acks cannot echo the probe's nonce
+// because it travelled only inside the lost probe, so the root tells the
+// two kinds of ack apart and records them separately.
 
 #pragma once
 
@@ -37,11 +38,10 @@ struct LeafBehavior {
     bool fabricate_acks = false;
 };
 
-/// Outcome of one stripe for every leaf of the tree.
+/// What the root sees of one stripe, per leaf slot.
 struct ProbeRecord {
-    std::vector<bool> received;     ///< probe physically reached the leaf
-    std::vector<bool> acked;        ///< root saw an acknowledgment
-    std::vector<bool> nonce_valid;  ///< the ack echoed the probe's nonce
+    std::vector<bool> acked;       ///< an ack echoing the probe's nonce
+    std::vector<bool> fabricated;  ///< an ack without the nonce
 };
 
 /// Samples one striped (multicast-emulating) probe of the tree at time t.
@@ -60,17 +60,8 @@ struct HeavyweightParams {
 /// A heavyweight probing session: many stripes across a short window.
 struct HeavyweightResult {
     std::vector<ProbeRecord> probes;
-    std::vector<int> ack_counts;  ///< per leaf slot (nonce-valid acks only)
     util::SimTime started_at = 0;
     util::SimTime finished_at = 0;
-
-    [[nodiscard]] double ack_rate(int leaf_slot) const {
-        return probes.empty()
-                   ? 0.0
-                   : static_cast<double>(ack_counts.at(
-                         static_cast<std::size_t>(leaf_slot))) /
-                         static_cast<double>(probes.size());
-    }
 };
 
 /// Runs a full heavyweight session starting at t0 (Duffield's full scheme).
@@ -85,7 +76,6 @@ HeavyweightResult run_heavyweight_session(
 /// through.
 struct LightweightResult {
     std::vector<bool> responsive;  ///< per leaf slot
-    ProbeRecord first_stripe;
 };
 LightweightResult run_lightweight_probe(
     const ProbeTree& tree, const PassProbabilityFn& pass_probability,

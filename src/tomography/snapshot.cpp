@@ -101,36 +101,54 @@ TomographicSnapshot read_snapshot_wire(util::ByteReader& r) {
 }
 
 TomographicSnapshot make_snapshot(const util::NodeId& origin,
-                                  const crypto::KeyPair& keys,
                                   util::SimTime probed_at,
                                   const ProbeTree& tree,
                                   const InferenceResult& inference,
+                                  const std::vector<bool>& excluded,
                                   const SnapshotParams& params,
                                   const std::vector<util::NodeId>& leaf_ids) {
     if (leaf_ids.size() != tree.leaves().size()) {
         throw std::invalid_argument("make_snapshot: leaf id count mismatch");
     }
+    if (excluded.size() != leaf_ids.size()) {
+        throw std::invalid_argument("make_snapshot: exclusion mask mismatch");
+    }
     TomographicSnapshot snap;
     snap.origin = origin;
     snap.probed_at = probed_at;
+    const auto& leaf_nodes = tree.leaf_nodes();
     for (std::size_t slot = 0; slot < leaf_ids.size(); ++slot) {
-        double pass = 1.0;
-        const auto node = tree.node_of(tree.leaves()[slot]);
-        if (node.has_value()) {
-            pass = inference.cumulative_pass.at(
-                static_cast<std::size_t>(*node));
-        }
+        const double pass = inference.cumulative_pass.at(
+            static_cast<std::size_t>(leaf_nodes[slot]));
         snap.paths.push_back(
             PathSummary{leaf_ids[slot], quantize_loss(1.0 - pass)});
     }
+    // vouched[k]: some non-excluded leaf lies in node k's subtree.  Nodes
+    // are parent-first, so one reverse pass settles every subtree.  An
+    // excluded leaf's silenced feedback makes its last mile *look* dead;
+    // links only it could vouch for carry no evidence at all.
+    const auto& nodes = tree.nodes();
+    std::vector<char> vouched(nodes.size(), 0);
+    for (std::size_t slot = 0; slot < excluded.size(); ++slot) {
+        if (!excluded[slot]) {
+            vouched[static_cast<std::size_t>(leaf_nodes[slot])] = 1;
+        }
+    }
+    for (std::size_t k = nodes.size(); k-- > 1;) {
+        if (vouched[k] != 0) {
+            vouched[static_cast<std::size_t>(nodes[k].parent)] = 1;
+        }
+    }
     for (const LinkLossEstimate& e : inference.links) {
-        // Links with no probe evidence (below a dead ancestor) are omitted:
-        // a snapshot only vouches for what its probes actually tested.
-        if (!e.observable) continue;
+        // Links with no probe evidence (below a dead ancestor, or behind
+        // excluded leaves only) are omitted.
+        if (!e.observable ||
+            vouched.at(static_cast<std::size_t>(e.node)) == 0) {
+            continue;
+        }
         snap.links.push_back(
             LinkObservation{e.link, e.loss < params.down_loss_threshold});
     }
-    snap.signature = keys.sign(snap.signed_payload());
     return snap;
 }
 

@@ -78,12 +78,16 @@ struct SnapshotParams {
     double down_loss_threshold = 0.5;
 };
 
-/// Summarizes an inference result into a signed snapshot.
+/// Summarizes an inference result into a snapshot; the origin signs it when
+/// it publishes.  `excluded` is the per-leaf-slot mask from
+/// exclude_unverified_feedback().  A snapshot only vouches for what its
+/// probes actually tested: a link is reported only when inference observed
+/// it and some non-excluded leaf lies below it in the tree.
 TomographicSnapshot make_snapshot(const util::NodeId& origin,
-                                  const crypto::KeyPair& keys,
                                   util::SimTime probed_at,
                                   const ProbeTree& tree,
                                   const InferenceResult& inference,
+                                  const std::vector<bool>& excluded,
                                   const SnapshotParams& params,
                                   const std::vector<util::NodeId>& leaf_ids);
 

@@ -4,30 +4,27 @@
 
 namespace concilium::tomography {
 
-std::vector<bool> detect_fabricators(std::size_t leaf_count,
-                                     std::span<const ProbeRecord> probes) {
-    std::vector<bool> flagged(leaf_count, false);
+std::vector<bool> exclude_unverified_feedback(
+    const ProbeTree& tree, std::span<ProbeRecord> probes,
+    const SuppressionTestParams& params) {
+    const std::size_t leaf_count = tree.leaves().size();
+    std::vector<bool> excluded(leaf_count, false);
     for (const ProbeRecord& rec : probes) {
+        if (rec.acked.size() != leaf_count ||
+            rec.fabricated.size() != leaf_count) {
+            throw std::invalid_argument(
+                "exclude_unverified_feedback: record size mismatch");
+        }
         for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
-            if (rec.acked[leaf] && !rec.nonce_valid[leaf]) {
-                flagged[leaf] = true;
-            }
+            if (rec.fabricated[leaf]) excluded[leaf] = true;
         }
     }
-    return flagged;
-}
 
-std::vector<bool> detect_suppressors(const ProbeTree& tree,
-                                     std::span<const ProbeRecord> probes,
-                                     const SuppressionTestParams& params) {
-    const std::size_t leaf_count = tree.leaves().size();
-    std::vector<bool> flagged(leaf_count, false);
-
-    // For each leaf, evidence = stripes where some leaf in a *sibling*
-    // subtree acknowledged, proving delivery up to the shared ancestor.
-    // The immediate parent is usually a pass-through router with a single
-    // child, so we climb to the nearest ancestor that has leaf descendants
-    // outside this leaf's own subtree.
+    // Suppression evidence for a leaf = stripes where some leaf in a
+    // *sibling* subtree acknowledged, proving delivery up to the shared
+    // ancestor.  The immediate parent is usually a pass-through router with
+    // a single child, so we climb to the nearest ancestor that has leaf
+    // descendants outside this leaf's own subtree.
     //
     // Leaf slots under every node, from one reverse pass: nodes are stored
     // parent-first, so each node's list is complete before it is merged
@@ -44,6 +41,7 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
     }
     std::vector<bool> is_own(leaf_count, false);
     for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
+        if (excluded[leaf]) continue;  // already a proven fabricator
         const auto node_idx =
             static_cast<std::size_t>(tree.leaf_nodes()[leaf]);
         const std::vector<int>& own = under[node_idx];
@@ -66,41 +64,33 @@ std::vector<bool> detect_suppressors(const ProbeTree& tree,
         for (const ProbeRecord& rec : probes) {
             bool sibling_ack = false;
             for (const int s : siblings) {
-                const auto i = static_cast<std::size_t>(s);
-                if (rec.acked[i] && rec.nonce_valid[i]) {
+                if (rec.acked[static_cast<std::size_t>(s)]) {
                     sibling_ack = true;
                     break;
                 }
             }
             if (!sibling_ack) continue;
             ++evidence;
-            if (rec.acked[leaf] && rec.nonce_valid[leaf]) {
-                ++acked_given_evidence;
-            }
+            if (rec.acked[leaf]) ++acked_given_evidence;
         }
         if (evidence < params.min_evidence) continue;
         const double conditional = static_cast<double>(acked_given_evidence) /
                                    static_cast<double>(evidence);
         if (conditional < params.min_conditional_ack_rate) {
-            flagged[leaf] = true;
+            excluded[leaf] = true;
         }
     }
-    return flagged;
-}
 
-void exclude_leaves(std::span<ProbeRecord> probes,
-                    const std::vector<bool>& excluded) {
-    for (ProbeRecord& rec : probes) {
-        if (rec.acked.size() != excluded.size()) {
-            throw std::invalid_argument("exclude_leaves: size mismatch");
-        }
-        for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
-            if (excluded[leaf]) {
-                rec.acked[leaf] = false;
-                rec.nonce_valid[leaf] = false;
-            }
+    // Only now, with every verdict drawn from the records as seen, silence
+    // the flagged leaves.
+    for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
+        if (!excluded[leaf]) continue;
+        for (ProbeRecord& rec : probes) {
+            rec.acked[leaf] = false;
+            rec.fabricated[leaf] = false;
         }
     }
+    return excluded;
 }
 
 }  // namespace concilium::tomography

@@ -26,11 +26,6 @@
 
 namespace concilium::tomography {
 
-/// Leaves that acknowledged at least one probe with an invalid nonce.
-/// This is hard evidence of fabrication.
-std::vector<bool> detect_fabricators(std::size_t leaf_count,
-                                     std::span<const ProbeRecord> probes);
-
 struct SuppressionTestParams {
     /// Flag a leaf when its ack rate conditioned on sibling evidence falls
     /// below this (honest leaves achieve ~ last-mile pass rate, near 1).
@@ -39,17 +34,15 @@ struct SuppressionTestParams {
     int min_evidence = 10;
 };
 
-/// Leaves whose conditional acknowledgment rate (given that some leaf in a
-/// sibling subtree acknowledged the same stripe, proving the stripe reached
-/// the shared parent) is implausibly low.
-std::vector<bool> detect_suppressors(const ProbeTree& tree,
-                                     std::span<const ProbeRecord> probes,
-                                     const SuppressionTestParams& params);
-
-/// Masks the flagged leaves' feedback out of the probes in place, so
-/// inference runs on trustworthy feedback only: their acks are cleared
-/// (treated as silent), matching the exclusion semantics of Section 3.3.
-void exclude_leaves(std::span<ProbeRecord> probes,
-                    const std::vector<bool>& excluded);
+/// Feedback verification, one pass over a session's records as the root
+/// saw them.  Flags every leaf that fabricated an ack (hard evidence) or
+/// whose conditional ack rate -- given that some leaf in a sibling subtree
+/// acknowledged the same stripe, proving the stripe reached the shared
+/// parent -- is implausibly low.  Then clears the flagged leaves' feedback
+/// in place (treated as silent), so inference runs on trustworthy feedback
+/// only, and returns the exclusion mask per leaf slot.
+std::vector<bool> exclude_unverified_feedback(
+    const ProbeTree& tree, std::span<ProbeRecord> probes,
+    const SuppressionTestParams& params);
 
 }  // namespace concilium::tomography

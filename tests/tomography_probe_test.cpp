@@ -49,9 +49,8 @@ TEST_F(ProbeFixture, PerfectNetworkAllLeavesAck) {
     const auto rec =
         sample_striped_probe(*tree, make_pass_fn(), 0, {}, rng);
     for (std::size_t leaf = 0; leaf < 3; ++leaf) {
-        EXPECT_TRUE(rec.received[leaf]);
         EXPECT_TRUE(rec.acked[leaf]);
-        EXPECT_TRUE(rec.nonce_valid[leaf]);
+        EXPECT_FALSE(rec.fabricated[leaf]);
     }
 }
 
@@ -60,8 +59,8 @@ TEST_F(ProbeFixture, DeadRootLinkSilencesEveryLeaf) {
     const auto rec = sample_striped_probe(
         *tree, make_pass_fn({{links[0], 1.0}}), 0, {}, rng);
     for (std::size_t leaf = 0; leaf < 3; ++leaf) {
-        EXPECT_FALSE(rec.received[leaf]);
         EXPECT_FALSE(rec.acked[leaf]);
+        EXPECT_FALSE(rec.fabricated[leaf]);
     }
 }
 
@@ -72,8 +71,8 @@ TEST_F(ProbeFixture, SharedLinkLossIsCorrelatedAcrossLeaves) {
     for (int trial = 0; trial < 200; ++trial) {
         const auto rec = sample_striped_probe(
             *tree, make_pass_fn({{links[1], 0.5}}), 0, {}, rng);
-        EXPECT_EQ(rec.received[0], rec.received[1]) << "trial " << trial;
-        EXPECT_TRUE(rec.received[2]);  // leaf 6 unaffected
+        EXPECT_EQ(rec.acked[0], rec.acked[1]) << "trial " << trial;
+        EXPECT_TRUE(rec.acked[2]);  // leaf 6 unaffected
     }
 }
 
@@ -84,9 +83,9 @@ TEST_F(ProbeFixture, LastMileLossAffectsOneLeafOnly) {
     for (int trial = 0; trial < n; ++trial) {
         const auto rec = sample_striped_probe(
             *tree, make_pass_fn({{links[3], 0.3}}), 0, {}, rng);
-        if (!rec.received[0]) ++lost4;
-        EXPECT_TRUE(rec.received[1]);
-        EXPECT_TRUE(rec.received[2]);
+        if (!rec.acked[0]) ++lost4;
+        EXPECT_TRUE(rec.acked[1]);
+        EXPECT_TRUE(rec.acked[2]);
     }
     EXPECT_NEAR(lost4, 150, 45);
 }
@@ -95,10 +94,14 @@ TEST_F(ProbeFixture, SuppressorDropsAcksButReceives) {
     util::Rng rng(5);
     std::vector<LeafBehavior> behaviors(3);
     behaviors[1].suppress_ack_probability = 1.0;
+    auto& suppressed =
+        util::metrics::Registry::global().counter("tomography.acks_suppressed");
+    const std::int64_t before = suppressed.value();
     const auto rec =
         sample_striped_probe(*tree, make_pass_fn(), 0, behaviors, rng);
-    EXPECT_TRUE(rec.received[1]);
+    EXPECT_EQ(suppressed.value() - before, 1);  // the probe did arrive
     EXPECT_FALSE(rec.acked[1]);
+    EXPECT_FALSE(rec.fabricated[1]);
 }
 
 TEST_F(ProbeFixture, FabricatorAcksWithInvalidNonce) {
@@ -107,9 +110,8 @@ TEST_F(ProbeFixture, FabricatorAcksWithInvalidNonce) {
     behaviors[2].fabricate_acks = true;
     const auto rec = sample_striped_probe(
         *tree, make_pass_fn({{links[5], 1.0}}), 0, behaviors, rng);
-    EXPECT_FALSE(rec.received[2]);
-    EXPECT_TRUE(rec.acked[2]);
-    EXPECT_FALSE(rec.nonce_valid[2]);  // cannot echo an unseen nonce
+    EXPECT_FALSE(rec.acked[2]);  // cannot echo an unseen nonce
+    EXPECT_TRUE(rec.fabricated[2]);
 }
 
 TEST_F(ProbeFixture, BehaviorSizeMismatchThrows) {
@@ -127,9 +129,14 @@ TEST_F(ProbeFixture, HeavyweightSessionCountsAcks) {
     const auto result = run_heavyweight_session(
         *tree, make_pass_fn({{links[3], 0.25}}), 0, params, {}, rng);
     EXPECT_EQ(result.probes.size(), 400u);
-    EXPECT_NEAR(result.ack_rate(0), 0.75, 0.07);
-    EXPECT_NEAR(result.ack_rate(1), 1.0, 1e-12);
-    EXPECT_NEAR(result.ack_rate(2), 1.0, 1e-12);
+    const auto ack_rate = [&](std::size_t leaf) {
+        int acks = 0;
+        for (const ProbeRecord& rec : result.probes) acks += rec.acked[leaf];
+        return acks / 400.0;
+    };
+    EXPECT_NEAR(ack_rate(0), 0.75, 0.07);
+    EXPECT_NEAR(ack_rate(1), 1.0, 1e-12);
+    EXPECT_NEAR(ack_rate(2), 1.0, 1e-12);
     EXPECT_GT(result.finished_at, result.started_at);
     EXPECT_THROW(run_heavyweight_session(*tree, make_pass_fn(), 0,
                                          HeavyweightParams{.probe_count = 0},
@@ -162,10 +169,11 @@ TEST_F(ProbeFixture, DetectFabricatorsFlagsOnlyGuiltyLeaf) {
     util::Rng rng(11);
     std::vector<LeafBehavior> behaviors(3);
     behaviors[0].fabricate_acks = true;
-    const auto session = run_heavyweight_session(
+    auto session = run_heavyweight_session(
         *tree, make_pass_fn({{links[3], 0.4}}), 0,
         HeavyweightParams{.probe_count = 200}, behaviors, rng);
-    const auto flagged = detect_fabricators(3, session.probes);
+    const auto flagged = exclude_unverified_feedback(
+        *tree, session.probes, SuppressionTestParams{});
     EXPECT_TRUE(flagged[0]);
     EXPECT_FALSE(flagged[1]);
     EXPECT_FALSE(flagged[2]);
@@ -175,11 +183,11 @@ TEST_F(ProbeFixture, DetectSuppressorsFlagsAckDropper) {
     util::Rng rng(12);
     std::vector<LeafBehavior> behaviors(3);
     behaviors[0].suppress_ack_probability = 0.95;
-    const auto session = run_heavyweight_session(
+    auto session = run_heavyweight_session(
         *tree, make_pass_fn(), 0, HeavyweightParams{.probe_count = 300},
         behaviors, rng);
-    const auto flagged =
-        detect_suppressors(*tree, session.probes, SuppressionTestParams{});
+    const auto flagged = exclude_unverified_feedback(
+        *tree, session.probes, SuppressionTestParams{});
     EXPECT_TRUE(flagged[0]);
     EXPECT_FALSE(flagged[1]);
     EXPECT_FALSE(flagged[2]);
@@ -187,11 +195,11 @@ TEST_F(ProbeFixture, DetectSuppressorsFlagsAckDropper) {
 
 TEST_F(ProbeFixture, HonestLeavesUnderModerateLossNotFlagged) {
     util::Rng rng(13);
-    const auto session = run_heavyweight_session(
+    auto session = run_heavyweight_session(
         *tree, make_pass_fn({{links[3], 0.2}, {links[1], 0.1}}), 0,
         HeavyweightParams{.probe_count = 300}, {}, rng);
-    const auto flagged =
-        detect_suppressors(*tree, session.probes, SuppressionTestParams{});
+    const auto flagged = exclude_unverified_feedback(
+        *tree, session.probes, SuppressionTestParams{});
     EXPECT_FALSE(flagged[0]);
     EXPECT_FALSE(flagged[1]);
     EXPECT_FALSE(flagged[2]);
@@ -199,35 +207,61 @@ TEST_F(ProbeFixture, HonestLeavesUnderModerateLossNotFlagged) {
 
 TEST_F(ProbeFixture, ExcludeLeavesSilencesFlaggedFeedback) {
     util::Rng rng(14);
-    const auto session = run_heavyweight_session(
-        *tree, make_pass_fn(), 0, HeavyweightParams{.probe_count = 10}, {},
-        rng);
-    auto cleaned = session.probes;
-    exclude_leaves(cleaned, {true, false, false});
-    for (const auto& rec : cleaned) {
+    std::vector<LeafBehavior> behaviors(3);
+    behaviors[0].fabricate_acks = true;
+    auto session = run_heavyweight_session(
+        *tree, make_pass_fn({{links[3], 0.5}}), 0,
+        HeavyweightParams{.probe_count = 40}, behaviors, rng);
+    const auto flagged = exclude_unverified_feedback(
+        *tree, session.probes, SuppressionTestParams{});
+    EXPECT_EQ(flagged, (std::vector<bool>{true, false, false}));
+    for (const auto& rec : session.probes) {
         EXPECT_FALSE(rec.acked[0]);
+        EXPECT_FALSE(rec.fabricated[0]);
         EXPECT_TRUE(rec.acked[1]);
     }
-    EXPECT_THROW(exclude_leaves(cleaned, {true}), std::invalid_argument);
+    session.probes[3].acked.pop_back();
+    EXPECT_THROW(exclude_unverified_feedback(*tree, session.probes,
+                                             SuppressionTestParams{}),
+                 std::invalid_argument);
 }
 
 // --- the flat sampler against the pre-flattening reference ------------------
+
+/// The probe record as it stood before it held only what the root sees:
+/// the reference below fills and reads all three fields.
+struct ReferenceRecord {
+    std::vector<bool> received;     ///< probe physically reached the leaf
+    std::vector<bool> acked;        ///< root saw an acknowledgment
+    std::vector<bool> nonce_valid;  ///< the ack echoed the probe's nonce
+};
+
+/// The root's view of a reference record: a verified ack, or an ack
+/// without the nonce.
+ProbeRecord root_view(const ReferenceRecord& ref) {
+    ProbeRecord rec;
+    for (std::size_t leaf = 0; leaf < ref.acked.size(); ++leaf) {
+        rec.acked.push_back(ref.acked[leaf] && ref.nonce_valid[leaf]);
+        rec.fabricated.push_back(ref.acked[leaf] && !ref.nonce_valid[leaf]);
+    }
+    return rec;
+}
 
 /// The striped-probe sampler as it stood before the flat forward pass: one
 /// Bernoulli draw per link into a per-stripe link -> passed map, then a DFS
 /// with a heap stack propagating delivery.  Kept verbatim (minus the
 /// metrics) as the reference the flat sampler must match draw for draw.
-ProbeRecord reference_stripe(const ProbeTree& tree,
-                             const PassProbabilityFn& pass_probability,
-                             util::SimTime t,
-                             std::span<const LeafBehavior> behaviors,
-                             util::Rng& rng) {
+ReferenceRecord reference_stripe(const ProbeTree& tree,
+                                 const PassProbabilityFn& pass_probability,
+                                 util::SimTime t,
+                                 std::span<const LeafBehavior> behaviors,
+                                 util::Rng& rng) {
     std::unordered_map<net::LinkId, bool> link_passed;
     for (const net::LinkId l : tree.links()) {
         link_passed.emplace(l, rng.bernoulli(pass_probability(l, t)));
     }
     const std::size_t n = tree.leaves().size();
-    ProbeRecord record;
+    ReferenceRecord record;
     record.received.assign(n, false);
     record.acked.assign(n, false);
     record.nonce_valid.assign(n, false);
@@ -266,11 +300,25 @@ ProbeRecord reference_stripe(const ProbeTree& tree,
     return record;
 }
 
+/// detect_fabricators as it stood before the one verification pass.
+std::vector<bool> reference_fabricators(
+    std::size_t leaf_count, std::span<const ReferenceRecord> probes) {
+    std::vector<bool> flagged(leaf_count, false);
+    for (const ReferenceRecord& rec : probes) {
+        for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
+            if (rec.acked[leaf] && !rec.nonce_valid[leaf]) {
+                flagged[leaf] = true;
+            }
+        }
+    }
+    return flagged;
+}
+
 /// detect_suppressors as it stood before the one-pass sibling sets:
 /// node_of plus leaf_slots_under per ancestor per leaf.
-std::vector<bool> reference_suppressors(const ProbeTree& tree,
-                                        std::span<const ProbeRecord> probes,
-                                        const SuppressionTestParams& params) {
+std::vector<bool> reference_suppressors(
+    const ProbeTree& tree, std::span<const ReferenceRecord> probes,
+    const SuppressionTestParams& params) {
     const std::size_t leaf_count = tree.leaves().size();
     std::vector<bool> flagged(leaf_count, false);
     for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
@@ -293,7 +341,7 @@ std::vector<bool> reference_suppressors(const ProbeTree& tree,
         if (siblings.empty()) continue;
         int evidence = 0;
         int acked_given_evidence = 0;
-        for (const ProbeRecord& rec : probes) {
+        for (const ReferenceRecord& rec : probes) {
             bool sibling_ack = false;
             for (const int s : siblings) {
                 const auto i = static_cast<std::size_t>(s);
@@ -316,6 +364,19 @@ std::vector<bool> reference_suppressors(const ProbeTree& tree,
         }
     }
     return flagged;
+}
+
+/// exclude_leaves as it stood before the one verification pass.
+void reference_exclude_leaves(std::span<ReferenceRecord> probes,
+                              const std::vector<bool>& excluded) {
+    for (ReferenceRecord& rec : probes) {
+        for (std::size_t leaf = 0; leaf < excluded.size(); ++leaf) {
+            if (excluded[leaf]) {
+                rec.acked[leaf] = false;
+                rec.nonce_valid[leaf] = false;
+            }
+        }
+    }
 }
 
 /// A random recursive tree topology probed from a random root, with
@@ -394,10 +455,10 @@ struct RandomProbeWorld {
     std::vector<LeafBehavior> behaviors;
 };
 
-void expect_same_record(const ProbeRecord& want, const ProbeRecord& got) {
-    EXPECT_EQ(want.received, got.received);
-    EXPECT_EQ(want.acked, got.acked);
-    EXPECT_EQ(want.nonce_valid, got.nonce_valid);
+void expect_same_record(const ReferenceRecord& want, const ProbeRecord& got) {
+    const ProbeRecord view = root_view(want);
+    EXPECT_EQ(view.acked, got.acked);
+    EXPECT_EQ(view.fabricated, got.fabricated);
 }
 
 TEST(ProbeTreeLayout, NodeOwnsItsUplinkAndFollowsItsParent) {
@@ -429,7 +490,7 @@ TEST(StripedProbeEquivalence, MatchesReferenceDrawForDraw) {
         util::Rng got_rng(seed * 977);
         for (int stripe = 0; stripe < 25; ++stripe) {
             const util::SimTime t = stripe * util::kSecond;
-            const ProbeRecord want = reference_stripe(
+            const ReferenceRecord want = reference_stripe(
                 *world.tree, pass, t, world.behaviors, want_rng);
             const ProbeRecord got = sample_striped_probe(
                 *world.tree, pass, t, world.behaviors, got_rng);
@@ -450,35 +511,43 @@ TEST(StripedProbeEquivalence, HeavyweightSessionMatchesReference) {
                                        .spacing = 50 * util::kMillisecond};
         util::Rng want_rng(seed + 5);
         util::Rng got_rng(seed + 5);
-        const auto session = run_heavyweight_session(
+        auto session = run_heavyweight_session(
             *world.tree, pass, 7 * util::kSecond, params, world.behaviors,
             got_rng);
         ASSERT_EQ(session.probes.size(), 40u);
-        std::vector<int> ack_counts(world.tree->leaves().size(), 0);
+        std::vector<ReferenceRecord> reference;
         util::SimTime t = 7 * util::kSecond;
         for (const ProbeRecord& got : session.probes) {
-            const ProbeRecord want = reference_stripe(
-                *world.tree, pass, t, world.behaviors, want_rng);
-            expect_same_record(want, got);
-            for (std::size_t leaf = 0; leaf < ack_counts.size(); ++leaf) {
-                if (want.acked[leaf] && want.nonce_valid[leaf]) {
-                    ++ack_counts[leaf];
-                }
-            }
+            reference.push_back(reference_stripe(*world.tree, pass, t,
+                                                 world.behaviors, want_rng));
+            expect_same_record(reference.back(), got);
             t += params.spacing;
         }
-        EXPECT_EQ(session.ack_counts, ack_counts);
         EXPECT_EQ(session.finished_at, t);
         EXPECT_EQ(want_rng.uniform_u64(), got_rng.uniform_u64())
             << "seed " << seed;
 
-        // The one-pass sibling sets flag exactly the leaves the per-ancestor
-        // subtree walk flagged.
+        // The one verification pass excludes exactly the leaves the old
+        // fabricator and per-ancestor suppressor passes flagged, and leaves
+        // the records as the old exclude_leaves did.
         const SuppressionTestParams test{.min_conditional_ack_rate = 0.5,
                                          .min_evidence = 5};
-        EXPECT_EQ(detect_suppressors(*world.tree, session.probes, test),
-                  reference_suppressors(*world.tree, session.probes, test))
+        const std::size_t leaf_count = world.tree->leaves().size();
+        const auto fabricators = reference_fabricators(leaf_count, reference);
+        const auto suppressors =
+            reference_suppressors(*world.tree, reference, test);
+        std::vector<bool> want_excluded(leaf_count, false);
+        for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
+            want_excluded[leaf] = fabricators[leaf] || suppressors[leaf];
+        }
+        EXPECT_EQ(exclude_unverified_feedback(*world.tree, session.probes,
+                                              test),
+                  want_excluded)
             << "seed " << seed;
+        reference_exclude_leaves(reference, want_excluded);
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            expect_same_record(reference[i], session.probes[i]);
+        }
     }
 }
 
@@ -497,12 +566,18 @@ TEST(StripedProbeEquivalence, CountersTallyEveryStripe) {
     for (int i = 0; i < 6; ++i) before[i] = value(names[i]);
 
     const RandomProbeWorld world(3);
+    const auto pass = world.pass_fn();
+    const HeavyweightParams params{.probe_count = 30};
     util::Rng rng(8);
     const auto session = run_heavyweight_session(
-        *world.tree, world.pass_fn(), 0, HeavyweightParams{.probe_count = 30},
-        world.behaviors, rng);
+        *world.tree, pass, 0, params, world.behaviors, rng);
+    util::Rng want_rng(8);
     std::int64_t want[6] = {0, 0, 0, 0, 0, 0};
-    for (const ProbeRecord& rec : session.probes) {
+    for (std::size_t i = 0; i < session.probes.size(); ++i) {
+        const ReferenceRecord rec = reference_stripe(
+            *world.tree, pass, static_cast<util::SimTime>(i) * params.spacing,
+            world.behaviors, want_rng);
+        expect_same_record(rec, session.probes[i]);
         ++want[0];
         for (std::size_t leaf = 0; leaf < rec.received.size(); ++leaf) {
             ++want[1];

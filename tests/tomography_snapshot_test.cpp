@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/certificates.h"
 #include "net/paths.h"
 #include "tomography/inference.h"
@@ -73,7 +75,11 @@ struct SnapshotFixture : ::testing::Test {
         }
     }
 
-    TomographicSnapshot snap(std::unordered_map<net::LinkId, double> loss) {
+    /// A snapshot of a session under `loss`, signed as its origin would
+    /// sign it at publication.
+    TomographicSnapshot snap(std::unordered_map<net::LinkId, double> loss,
+                             std::vector<bool> excluded = {false, false,
+                                                           false}) {
         util::Rng rng(3);
         const auto pass = [&loss](net::LinkId l, util::SimTime) {
             const auto it = loss.find(l);
@@ -82,9 +88,19 @@ struct SnapshotFixture : ::testing::Test {
         const auto session = run_heavyweight_session(
             *tree, pass, 0, HeavyweightParams{.probe_count = 2000}, {}, rng);
         const auto inference = infer_link_loss(*tree, session.probes);
-        return make_snapshot(origin->certificate.node_id, origin->keys,
-                             42 * util::kSecond, *tree, inference,
-                             SnapshotParams{}, leaf_ids);
+        auto s = make_snapshot(origin->certificate.node_id,
+                               42 * util::kSecond, *tree, inference, excluded,
+                               SnapshotParams{}, leaf_ids);
+        s.signature = origin->keys.sign(s.signed_payload());
+        return s;
+    }
+
+    [[nodiscard]] static std::vector<net::LinkId> reported(
+        const TomographicSnapshot& s) {
+        std::vector<net::LinkId> out;
+        for (const auto& l : s.links) out.push_back(l.link);
+        std::sort(out.begin(), out.end());
+        return out;
     }
 
     net::Topology topo;
@@ -155,9 +171,32 @@ TEST_F(SnapshotFixture, LeafIdCountMismatchThrows) {
         HeavyweightParams{.probe_count = 10}, {}, rng);
     const auto inference = infer_link_loss(*tree, session.probes);
     std::vector<util::NodeId> wrong(2);
-    EXPECT_THROW(make_snapshot(origin->certificate.node_id, origin->keys, 0,
-                               *tree, inference, SnapshotParams{}, wrong),
+    EXPECT_THROW(make_snapshot(origin->certificate.node_id, 0, *tree,
+                               inference, {false, false, false},
+                               SnapshotParams{}, wrong),
                  std::invalid_argument);
+}
+
+TEST_F(SnapshotFixture, ExcludedLeavesVouchForNoLinkOfTheirOwn) {
+    // Leaves: slot 0 = router 4 (links 0,1,3), slot 1 = router 5 (links
+    // 0,1,4), slot 2 = router 6 (links 0,2,5).
+    EXPECT_EQ(reported(snap({})).size(), 6u);
+    // Slot 0's last mile is reachable only through it; links 0 and 1 are
+    // shared with its verified sibling at router 5.
+    EXPECT_EQ(reported(snap({}, {true, false, false})),
+              (std::vector<net::LinkId>{links[0], links[1], links[2],
+                                        links[4], links[5]}));
+    // Excluding slot 2 as well drops its whole branch below router 1.
+    EXPECT_EQ(reported(snap({}, {true, false, true})),
+              (std::vector<net::LinkId>{links[0], links[1], links[4]}));
+    EXPECT_TRUE(reported(snap({}, {true, true, true})).empty());
+    // Paths are summarized for every leaf either way.
+    EXPECT_EQ(snap({}, {true, true, true}).paths.size(), 3u);
+}
+
+TEST_F(SnapshotFixture, ExclusionMaskSizeMismatchThrows) {
+    EXPECT_THROW(snap({}, {false, false}), std::invalid_argument);
+    EXPECT_THROW(snap({}, {}), std::invalid_argument);
 }
 
 }  // namespace

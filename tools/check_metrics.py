@@ -17,14 +17,13 @@ Usage:
 import json
 import sys
 
+from gatelib import make_die
+
 NAMESPACES = ("net.", "tomography.", "overlay.", "core.", "runtime.",
               "sim.", "chaos.", "attack.", "defense.", "dht.",
               "recovery.", "partition.", "crypto.", "daemon.")
 
-
-def die(msg):
-    print(f"check_metrics: {msg}", file=sys.stderr)
-    sys.exit(1)
+die = make_die("check_metrics")
 
 
 def metrics_section_bytes(path):
