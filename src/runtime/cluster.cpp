@@ -601,35 +601,13 @@ void Cluster::probe_round_once(overlay::MemberIndex m) {
             tree, pass, sim_->now(), params_.lightweight_retries, behaviors,
             rng_);
 
-        bool any_silent = false;
-        tomography::TomographicSnapshot snap;
-        snap.origin = net_->member(m).id();
-        snap.probed_at = sim_->now();
-        std::unordered_map<net::LinkId, bool> up_links;
-        for (std::size_t leaf = 0; leaf < light.responsive.size(); ++leaf) {
-            tomography::PathSummary summary;
-            summary.peer = trees_->leaf_ids(m)[leaf];
-            if (light.responsive[leaf]) {
-                summary.bucket = tomography::LossBucket::kClean;
-                // An acknowledged probe traversed every link on the path.
-                for (const net::LinkId l :
-                     trees_->slot_path_links(m, static_cast<int>(leaf))) {
-                    up_links[l] = true;
-                }
-            } else {
-                summary.bucket = tomography::LossBucket::kDown;
-                any_silent = true;
-            }
-            snap.paths.push_back(summary);
-        }
-        for (const auto& [link, up] : up_links) {
-            snap.links.push_back(tomography::LinkObservation{link, up});
-        }
-        publish_snapshot(m, std::move(snap));
+        publish_snapshot(m, tomography::make_lightweight_snapshot(
+                                net_->member(m).id(), sim_->now(), tree,
+                                light, trees_->leaf_ids(m)));
 
         // "If link loss is detected ... H initiates heavyweight probing."
-        if (any_silent && sim_->now() - nodes_[m].last_heavyweight >=
-                              params_.heavyweight_min_gap) {
+        if (light.any_silent() && sim_->now() - nodes_[m].last_heavyweight >=
+                                      params_.heavyweight_min_gap) {
             run_heavyweight(m);
         }
     }

@@ -80,25 +80,12 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
     const std::size_t n = nodes.size();
 
     // gamma_hat[k]: fraction of probes with a verified ack from some
-    // leaf in k's subtree.  One bottom-up pass per probe.
+    // leaf in k's subtree.  One subtree pass per probe.
     std::vector<int> ack_any(n, 0);
-    // Children are always appended after their parent, so iterating node
-    // indices in reverse is a valid post-order for accumulation.
-    std::vector<char> probe_hit(n, 0);
+    std::vector<char> probe_hit;
     for (const ProbeRecord& rec : probes) {
-        std::fill(probe_hit.begin(), probe_hit.end(), 0);
-        for (std::size_t k = n; k-- > 0;) {
-            const auto& node = nodes[k];
-            bool hit = false;
-            if (node.leaf_slot.has_value()) {
-                hit = rec.acked[static_cast<std::size_t>(*node.leaf_slot)];
-            }
-            for (const int c : node.children) {
-                hit = hit || probe_hit[static_cast<std::size_t>(c)];
-            }
-            probe_hit[k] = hit ? 1 : 0;
-            if (hit) ++ack_any[k];
-        }
+        tree.mark_subtrees(rec.acked, probe_hit);
+        for (std::size_t k = 0; k < n; ++k) ack_any[k] += probe_hit[k];
     }
     std::vector<double> gamma(n);
     for (std::size_t k = 0; k < n; ++k) {
@@ -116,6 +103,7 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
 
     InferenceResult result;
     result.cumulative_pass.assign(n, 1.0);
+    result.links.resize(n - 1);
 
     // Process logical nodes top-down (index order is parent-before-child).
     for (std::size_t k = 1; k < n; ++k) {
@@ -180,9 +168,8 @@ InferenceResult infer_link_loss(const ProbeTree& tree,
         std::size_t walk = k;
         double cum = a_k;
         for (int hop = 0; hop < chain_len; ++hop) {
-            result.links.push_back(
-                LinkLossEstimate{nodes[walk].via, static_cast<int>(walk),
-                                 chain_loss, chain_len, observable});
+            result.links[walk - 1] = LinkLossEstimate{
+                nodes[walk].via, chain_loss, chain_len, observable};
             const auto parent = static_cast<std::size_t>(nodes[walk].parent);
             if (hop + 1 < chain_len) {
                 cum /= per_hop;

@@ -32,8 +32,6 @@ namespace concilium::tomography {
 
 struct LinkLossEstimate {
     net::LinkId link = net::kInvalidLink;
-    /// Index of the tree node that owns the link (its `via`).
-    int node = -1;
     /// Aggregate loss of the identifiability unit (chain) containing this
     /// link, in [0, 1].
     double loss = 0.0;
@@ -49,7 +47,9 @@ struct InferenceResult {
     /// Estimated cumulative pass probability root -> node, per physical tree
     /// node index (1.0 at the root).
     std::vector<double> cumulative_pass;
-    /// One estimate per physical tree link.
+    /// One estimate per physical tree link, in tree-node order: links[k-1]
+    /// belongs to node k (the link is its `via`), the same layout as
+    /// ProbeTree::links().
     std::vector<LinkLossEstimate> links;
 
     [[nodiscard]] double loss_of(net::LinkId link) const;

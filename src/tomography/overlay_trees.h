@@ -47,8 +47,6 @@ class OverlayTrees {
         overlay::MemberIndex m, overlay::MemberIndex peer) const;
 
     /// IP links of m's path to leaf slot `slot` (span into the arena).
-    /// The per-round probe loops index leaves directly, skipping even the
-    /// peer -> slot resolution.
     [[nodiscard]] std::span<const net::LinkId> slot_path_links(
         overlay::MemberIndex m, int slot) const {
         return leaf_paths_.at(m).at(static_cast<std::size_t>(slot));

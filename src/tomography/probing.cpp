@@ -164,14 +164,7 @@ LightweightResult run_lightweight_probe(
     // "it sends a few more probes to silent peers to determine if they are
     // truly offline or situated along a lossy IP link" (Section 3.2)
     for (int r = 0; r < retries; ++r) {
-        bool any_silent = false;
-        for (const bool ok : result.responsive) {
-            if (!ok) {
-                any_silent = true;
-                break;
-            }
-        }
-        if (!any_silent) break;
+        if (!result.any_silent()) break;
         const ProbeRecord again = sample_striped_probe(
             tree, pass_probability, t + (r + 1) * util::kSecond, behaviors,
             rng);

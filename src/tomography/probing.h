@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <span>
 #include <vector>
@@ -76,6 +77,12 @@ HeavyweightResult run_heavyweight_session(
 /// through.
 struct LightweightResult {
     std::vector<bool> responsive;  ///< per leaf slot
+
+    /// Some leaf never answered: the cue for retries and heavyweight probing.
+    [[nodiscard]] bool any_silent() const {
+        return std::find(responsive.begin(), responsive.end(), false) !=
+               responsive.end();
+    }
 };
 LightweightResult run_lightweight_probe(
     const ProbeTree& tree, const PassProbabilityFn& pass_probability,

@@ -25,21 +25,30 @@ double bucket_loss(LossBucket bucket) {
     throw std::invalid_argument("bucket_loss: bad bucket");
 }
 
-std::vector<std::uint8_t> TomographicSnapshot::signed_payload() const {
-    util::ByteWriter w;
-    w.node_id(origin);
-    w.u64(epoch);
-    w.i64(probed_at);
-    w.u32(static_cast<std::uint32_t>(paths.size()));
-    for (const PathSummary& p : paths) {
+namespace {
+
+/// Every signed field, in order; the wire form appends the signature.
+void write_snapshot_body(util::ByteWriter& w, const TomographicSnapshot& s) {
+    w.node_id(s.origin);
+    w.u64(s.epoch);
+    w.i64(s.probed_at);
+    w.u32(static_cast<std::uint32_t>(s.paths.size()));
+    for (const PathSummary& p : s.paths) {
         w.node_id(p.peer);
         w.u8(static_cast<std::uint8_t>(p.bucket));
     }
-    w.u32(static_cast<std::uint32_t>(links.size()));
-    for (const LinkObservation& l : links) {
+    w.u32(static_cast<std::uint32_t>(s.links.size()));
+    for (const LinkObservation& l : s.links) {
         w.u32(l.link);
         w.u8(l.up ? 1 : 0);
     }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> TomographicSnapshot::signed_payload() const {
+    util::ByteWriter w;
+    write_snapshot_body(w, *this);
     return w.data();
 }
 
@@ -53,19 +62,7 @@ std::size_t TomographicSnapshot::wire_bytes() const {
 }
 
 void write_snapshot_wire(util::ByteWriter& w, const TomographicSnapshot& s) {
-    w.node_id(s.origin);
-    w.u64(s.epoch);
-    w.i64(s.probed_at);
-    w.u32(static_cast<std::uint32_t>(s.paths.size()));
-    for (const auto& p : s.paths) {
-        w.node_id(p.peer);
-        w.u8(static_cast<std::uint8_t>(p.bucket));
-    }
-    w.u32(static_cast<std::uint32_t>(s.links.size()));
-    for (const auto& l : s.links) {
-        w.u32(l.link);
-        w.u8(l.up ? 1 : 0);
-    }
+    write_snapshot_body(w, s);
     w.bytes(s.signature.bytes());
 }
 
@@ -110,12 +107,13 @@ TomographicSnapshot make_snapshot(const util::NodeId& origin,
     if (leaf_ids.size() != tree.leaves().size()) {
         throw std::invalid_argument("make_snapshot: leaf id count mismatch");
     }
-    if (excluded.size() != leaf_ids.size()) {
-        throw std::invalid_argument("make_snapshot: exclusion mask mismatch");
-    }
-    TomographicSnapshot snap;
-    snap.origin = origin;
-    snap.probed_at = probed_at;
+    // An excluded leaf's silenced feedback makes its last mile *look* dead;
+    // links only it could vouch for carry no evidence at all.
+    std::vector<bool> verified = excluded;
+    verified.flip();
+    std::vector<char> vouched;
+    tree.mark_subtrees(verified, vouched);
+    TomographicSnapshot snap{origin, /*epoch=*/0, probed_at, {}, {}, {}};
     const auto& leaf_nodes = tree.leaf_nodes();
     for (std::size_t slot = 0; slot < leaf_ids.size(); ++slot) {
         const double pass = inference.cumulative_pass.at(
@@ -123,31 +121,36 @@ TomographicSnapshot make_snapshot(const util::NodeId& origin,
         snap.paths.push_back(
             PathSummary{leaf_ids[slot], quantize_loss(1.0 - pass)});
     }
-    // vouched[k]: some non-excluded leaf lies in node k's subtree.  Nodes
-    // are parent-first, so one reverse pass settles every subtree.  An
-    // excluded leaf's silenced feedback makes its last mile *look* dead;
-    // links only it could vouch for carry no evidence at all.
-    const auto& nodes = tree.nodes();
-    std::vector<char> vouched(nodes.size(), 0);
-    for (std::size_t slot = 0; slot < excluded.size(); ++slot) {
-        if (!excluded[slot]) {
-            vouched[static_cast<std::size_t>(leaf_nodes[slot])] = 1;
-        }
-    }
-    for (std::size_t k = nodes.size(); k-- > 1;) {
-        if (vouched[k] != 0) {
-            vouched[static_cast<std::size_t>(nodes[k].parent)] = 1;
-        }
-    }
-    for (const LinkLossEstimate& e : inference.links) {
+    for (std::size_t k = 1; k < vouched.size(); ++k) {
+        const LinkLossEstimate& e = inference.links.at(k - 1);
         // Links with no probe evidence (below a dead ancestor, or behind
         // excluded leaves only) are omitted.
-        if (!e.observable ||
-            vouched.at(static_cast<std::size_t>(e.node)) == 0) {
-            continue;
-        }
+        if (!e.observable || vouched[k] == 0) continue;
         snap.links.push_back(
             LinkObservation{e.link, e.loss < params.down_loss_threshold});
+    }
+    return snap;
+}
+
+TomographicSnapshot make_lightweight_snapshot(
+    const util::NodeId& origin, util::SimTime probed_at,
+    const ProbeTree& tree, const LightweightResult& result,
+    const std::vector<util::NodeId>& leaf_ids) {
+    if (leaf_ids.size() != tree.leaves().size()) {
+        throw std::invalid_argument(
+            "make_lightweight_snapshot: leaf id count mismatch");
+    }
+    // An acknowledged probe traversed every link on its leaf's path.
+    std::vector<char> vouched;
+    tree.mark_subtrees(result.responsive, vouched);
+    TomographicSnapshot snap{origin, /*epoch=*/0, probed_at, {}, {}, {}};
+    for (std::size_t slot = 0; slot < leaf_ids.size(); ++slot) {
+        snap.paths.push_back(PathSummary{
+            leaf_ids[slot], result.responsive[slot] ? LossBucket::kClean
+                                                    : LossBucket::kDown});
+    }
+    for (std::size_t k = 1; k < vouched.size(); ++k) {
+        if (vouched[k] != 0) snap.links.push_back({tree.links()[k - 1], true});
     }
     return snap;
 }

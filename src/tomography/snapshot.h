@@ -15,6 +15,7 @@
 #include "crypto/keys.h"
 #include "net/topology.h"
 #include "tomography/inference.h"
+#include "tomography/probing.h"
 #include "tomography/tree.h"
 #include "util/ids.h"
 #include "util/serialize.h"
@@ -82,7 +83,8 @@ struct SnapshotParams {
 /// it publishes.  `excluded` is the per-leaf-slot mask from
 /// exclude_unverified_feedback().  A snapshot only vouches for what its
 /// probes actually tested: a link is reported only when inference observed
-/// it and some non-excluded leaf lies below it in the tree.
+/// it and some non-excluded leaf lies below it in the tree
+/// (ProbeTree::mark_subtrees).  Links come in tree-node order.
 TomographicSnapshot make_snapshot(const util::NodeId& origin,
                                   util::SimTime probed_at,
                                   const ProbeTree& tree,
@@ -90,6 +92,14 @@ TomographicSnapshot make_snapshot(const util::NodeId& origin,
                                   const std::vector<bool>& excluded,
                                   const SnapshotParams& params,
                                   const std::vector<util::NodeId>& leaf_ids);
+
+/// Summarizes a lightweight round (Section 3.2) by the make_snapshot() rule
+/// with responsiveness as the mask and no inference: responsive leaves'
+/// paths are clean and every link above one is up; silent paths are down.
+TomographicSnapshot make_lightweight_snapshot(
+    const util::NodeId& origin, util::SimTime probed_at,
+    const ProbeTree& tree, const LightweightResult& result,
+    const std::vector<util::NodeId>& leaf_ids);
 
 /// Checks the origin's signature.
 bool verify_snapshot(const TomographicSnapshot& snapshot,

@@ -116,6 +116,20 @@ std::vector<int> ProbeTree::leaf_slots_under(int node) const {
     return out;
 }
 
+void ProbeTree::mark_subtrees(const std::vector<bool>& leaf_mask,
+                              std::vector<char>& out) const {
+    if (leaf_mask.size() != leaf_nodes_.size()) {
+        throw std::invalid_argument("ProbeTree::mark_subtrees: mask size");
+    }
+    out.assign(nodes_.size(), 0);
+    for (std::size_t slot = 0; slot < leaf_mask.size(); ++slot) {
+        out[static_cast<std::size_t>(leaf_nodes_[slot])] = leaf_mask[slot];
+    }
+    for (std::size_t k = nodes_.size(); k-- > 1;) {
+        if (out[k] != 0) out[static_cast<std::size_t>(nodes_[k].parent)] = 1;
+    }
+}
+
 Forest::Forest(std::vector<const ProbeTree*> trees) : trees_(std::move(trees)) {
     if (trees_.empty()) {
         throw std::invalid_argument("Forest: no trees");

@@ -80,6 +80,13 @@ class ProbeTree {
     /// Leaf slots in the subtree rooted at node index n.
     [[nodiscard]] std::vector<int> leaf_slots_under(int node) const;
 
+    /// out[k] != 0 iff some leaf slot s in node k's subtree has
+    /// leaf_mask[s]: one reverse pass over the parent-first nodes into the
+    /// caller's scratch `out`.  Throws std::invalid_argument unless
+    /// leaf_mask has one entry per leaf slot.
+    void mark_subtrees(const std::vector<bool>& leaf_mask,
+                       std::vector<char>& out) const;
+
   private:
     /// Grafts one root-anchored path into the tree; shared by both
     /// constructors.

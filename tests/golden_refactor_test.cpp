@@ -375,8 +375,10 @@ TEST(GoldenRefactor, ClusterAttackRunIsByteIdentical) {
     EXPECT_EQ(outcomes, 0xb0635791531746dfULL);
     EXPECT_EQ(fnv_stats(s), 0x59ceb80eb7853c45ULL);
     EXPECT_EQ(counters, 0x439927241126f5ceULL);
-    EXPECT_EQ(accusations, 0xcf3a08eb91445d2fULL);
-    EXPECT_EQ(archives, 0xd4ac205ff4f90966ULL);
+    // Both hash signed snapshot bytes, so they pin the snapshot link order:
+    // tree-node order for both probe kinds.
+    EXPECT_EQ(accusations, 0x2c2df522a3e72117ULL);
+    EXPECT_EQ(archives, 0x2ae6be13d397bca7ULL);
 }
 
 }  // namespace

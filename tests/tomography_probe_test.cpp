@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -8,6 +9,7 @@
 
 #include "net/paths.h"
 #include "tomography/probing.h"
+#include "tomography/snapshot.h"
 #include "tomography/tree.h"
 #include "tomography/verification.h"
 #include "util/metrics.h"
@@ -477,6 +479,27 @@ TEST(ProbeTreeLayout, NodeOwnsItsUplinkAndFollowsItsParent) {
                           .router,
                       tree.leaves()[slot]);
         }
+        // A random leaf mask: mark_subtrees marks exactly the nodes with a
+        // marked slot among leaf_slots_under.
+        util::Rng mask_rng(seed * 31);
+        std::vector<bool> mask(tree.leaves().size());
+        for (std::size_t slot = 0; slot < mask.size(); ++slot) {
+            mask[slot] = mask_rng.bernoulli(0.4);
+        }
+        std::vector<char> marked{7, 7};  // stale scratch is overwritten
+        tree.mark_subtrees(mask, marked);
+        ASSERT_EQ(marked.size(), tree.nodes().size());
+        for (std::size_t k = 0; k < marked.size(); ++k) {
+            const auto under = tree.leaf_slots_under(static_cast<int>(k));
+            const bool want =
+                std::any_of(under.begin(), under.end(), [&](int s) {
+                    return mask[static_cast<std::size_t>(s)];
+                });
+            EXPECT_EQ(marked[k] != 0, want)
+                << "seed " << seed << " node " << k;
+        }
+        mask.push_back(true);
+        EXPECT_THROW(tree.mark_subtrees(mask, marked), std::invalid_argument);
     }
 }
 
@@ -549,6 +572,65 @@ TEST(StripedProbeEquivalence, HeavyweightSessionMatchesReference) {
             expect_same_record(reference[i], session.probes[i]);
         }
     }
+}
+
+/// The lightweight link rule as it stood in the protocol loop: every link
+/// on a responsive leaf's path, gathered through a link -> up map.
+std::vector<net::LinkId> reference_lightweight_links(
+    const ProbeTree& tree, const LightweightResult& light) {
+    std::unordered_map<net::LinkId, bool> up_links;
+    for (std::size_t leaf = 0; leaf < light.responsive.size(); ++leaf) {
+        if (!light.responsive[leaf]) continue;
+        for (const net::LinkId l : tree.path_links(static_cast<int>(leaf))) {
+            up_links[l] = true;
+        }
+    }
+    std::vector<net::LinkId> out;
+    for (const auto& [link, up] : up_links) out.push_back(link);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(LightweightSnapshotEquivalence, ReportsTheResponsivePathUnion) {
+    int interior_worlds = 0;
+    int partial_rounds = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        const RandomProbeWorld world(seed);
+        if (world.has_interior_leaf()) ++interior_worlds;
+        const ProbeTree& tree = *world.tree;
+        const std::vector<util::NodeId> leaf_ids(tree.leaves().size());
+        util::Rng rng(seed * 101);
+        for (int round = 0; round < 5; ++round) {
+            const LightweightResult light = run_lightweight_probe(
+                tree, world.pass_fn(), round * util::kSecond, 2,
+                world.behaviors, rng);
+            const TomographicSnapshot snap = make_lightweight_snapshot(
+                util::NodeId{}, round * util::kSecond, tree, light, leaf_ids);
+            std::vector<net::LinkId> got;
+            for (const LinkObservation& l : snap.links) {
+                EXPECT_TRUE(l.up);
+                got.push_back(l.link);
+            }
+            std::sort(got.begin(), got.end());
+            EXPECT_EQ(got, reference_lightweight_links(tree, light))
+                << "seed " << seed << " round " << round;
+            ASSERT_EQ(snap.paths.size(), light.responsive.size());
+            for (std::size_t leaf = 0; leaf < snap.paths.size(); ++leaf) {
+                EXPECT_EQ(snap.paths[leaf].bucket,
+                          light.responsive[leaf] ? LossBucket::kClean
+                                                 : LossBucket::kDown);
+            }
+            const bool any_up =
+                std::count(light.responsive.begin(), light.responsive.end(),
+                           true) > 0;
+            const bool any_silent =
+                std::count(light.responsive.begin(), light.responsive.end(),
+                           false) > 0;
+            if (any_up && any_silent) ++partial_rounds;
+        }
+    }
+    EXPECT_GT(interior_worlds, 0);
+    EXPECT_GT(partial_rounds, 0);
 }
 
 TEST(StripedProbeEquivalence, CountersTallyEveryStripe) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "crypto/certificates.h"
 #include "net/paths.h"
@@ -103,6 +104,19 @@ struct SnapshotFixture : ::testing::Test {
         return out;
     }
 
+    /// True when the snapshot's links appear in tree-node order.
+    [[nodiscard]] bool in_node_order(const TomographicSnapshot& s) const {
+        std::vector<std::ptrdiff_t> at;
+        for (const auto& l : s.links) {
+            const auto it = std::find(tree->links().begin(),
+                                      tree->links().end(), l.link);
+            if (it == tree->links().end()) return false;
+            at.push_back(it - tree->links().begin());
+        }
+        return std::adjacent_find(at.begin(), at.end(),
+                                  std::greater_equal<>()) == at.end();
+    }
+
     net::Topology topo;
     net::LinkId links[6];
     std::optional<ProbeTree> tree;
@@ -197,6 +211,48 @@ TEST_F(SnapshotFixture, ExcludedLeavesVouchForNoLinkOfTheirOwn) {
 TEST_F(SnapshotFixture, ExclusionMaskSizeMismatchThrows) {
     EXPECT_THROW(snap({}, {false, false}), std::invalid_argument);
     EXPECT_THROW(snap({}, {}), std::invalid_argument);
+}
+
+TEST_F(SnapshotFixture, LinksFollowTreeNodeOrder) {
+    // Heavyweight: every link, and any vouched subset, in node order.
+    const auto all = snap({});
+    ASSERT_EQ(all.links.size(), tree->links().size());
+    for (std::size_t i = 0; i < all.links.size(); ++i) {
+        EXPECT_EQ(all.links[i].link, tree->links()[i]);
+    }
+    EXPECT_TRUE(in_node_order(snap({{links[3], 1.0}}, {false, true, false})));
+
+    // Lightweight: slot 1 (router 5) is silent, so links 0, 1, 3 (to
+    // router 4) and 2, 5 (to router 6) are up; link 4 goes unreported.
+    const auto light = make_lightweight_snapshot(
+        origin->certificate.node_id, 42 * util::kSecond, *tree,
+        LightweightResult{{true, false, true}}, leaf_ids);
+    EXPECT_TRUE(in_node_order(light));
+    EXPECT_EQ(reported(light),
+              (std::vector<net::LinkId>{links[0], links[1], links[2],
+                                        links[3], links[5]}));
+    for (const auto& l : light.links) EXPECT_TRUE(l.up);
+    EXPECT_EQ(light.paths[0].bucket, LossBucket::kClean);
+    EXPECT_EQ(light.paths[1].bucket, LossBucket::kDown);
+    EXPECT_EQ(light.paths[2].bucket, LossBucket::kClean);
+    EXPECT_EQ(light.paths[1].peer, leaf_ids[1]);
+    EXPECT_TRUE(make_lightweight_snapshot(
+                    origin->certificate.node_id, 0, *tree,
+                    LightweightResult{{false, false, false}}, leaf_ids)
+                    .links.empty());
+}
+
+TEST_F(SnapshotFixture, LightweightSizeMismatchThrows) {
+    const LightweightResult all_up{{true, true, true}};
+    std::vector<util::NodeId> wrong(2);
+    EXPECT_THROW(make_lightweight_snapshot(origin->certificate.node_id, 0,
+                                           *tree, all_up, wrong),
+                 std::invalid_argument);
+    EXPECT_THROW(make_lightweight_snapshot(origin->certificate.node_id, 0,
+                                           *tree,
+                                           LightweightResult{{true, true}},
+                                           leaf_ids),
+                 std::invalid_argument);
 }
 
 }  // namespace
