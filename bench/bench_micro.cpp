@@ -165,17 +165,39 @@ void BM_EventSimCallbackDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventSimCallbackDispatch);
 
-void BM_BfsPathExtraction(benchmark::State& state) {
-    util::Rng rng(6);
-    const auto topo = net::generate_topology(net::medium_params(), rng);
-    const net::PathOracle oracle(topo);
-    const auto hosts = topo.end_hosts();
-    std::vector<net::RouterId> dsts(hosts.begin(), hosts.begin() + 64);
-    std::size_t src = 64;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(oracle.paths_from(hosts[src % hosts.size()], dsts));
-        ++src;
+// One BFS per source on a generated medium topology, extracting the paths to
+// 64 end hosts; sources walk the remaining end hosts.
+struct BfsKernel {
+    BfsKernel()
+        : topo(make_topology()),
+          oracle(topo),
+          hosts(topo.end_hosts()),
+          dsts(hosts.begin(), hosts.begin() + 64) {}
+
+    static net::Topology make_topology() {
+        util::Rng rng(6);
+        return net::generate_topology(net::medium_params(), rng);
     }
+
+    [[nodiscard]] std::vector<net::Path> run(std::size_t i) const {
+        return oracle.paths_from(hosts[(64 + i) % hosts.size()], dsts);
+    }
+
+    net::Topology topo;
+    net::PathOracle oracle;
+    std::vector<net::RouterId> hosts;
+    std::vector<net::RouterId> dsts;
+};
+
+const BfsKernel& bfs_kernel() {
+    static const BfsKernel kernel;
+    return kernel;
+}
+
+void BM_BfsPathExtraction(benchmark::State& state) {
+    const BfsKernel& k = bfs_kernel();
+    std::size_t i = 0;
+    for (auto _ : state) benchmark::DoNotOptimize(k.run(i++));
 }
 BENCHMARK(BM_BfsPathExtraction)->Unit(benchmark::kMillisecond);
 
@@ -382,8 +404,9 @@ int main(int argc, char** argv) {
     }
     benchmark::RunSpecifiedBenchmarks();
 
-    // Perf trajectory: fixed-size POD event-dispatch and probing-kernel
-    // measurements, written as BENCH_micro.json for tools/check_perf.py.
+    // Perf trajectory: fixed-size POD event-dispatch, probing-kernel and
+    // path-oracle measurements, written as BENCH_micro.json for
+    // tools/check_perf.py.
     // Independent of --benchmark_filter so the gated numbers are always
     // comparable.
     if (!bench_out.empty()) {
@@ -410,6 +433,11 @@ int main(int argc, char** argv) {
             sink += kernel.heavyweight(i * concilium::util::kMinute, rng);
         }
         const double sessions_per_sec = rate(kSessions, start);
+        const BfsKernel& bfs = bfs_kernel();  // built off the clock
+        constexpr int kBfsSources = 1000;
+        start = Clock::now();
+        for (int i = 0; i < kBfsSources; ++i) sink += bfs.run(i).size();
+        const double bfs_sources_per_sec = rate(kBfsSources, start);
         benchmark::DoNotOptimize(sink);
 
         concilium::bench::BenchReport report("micro");
@@ -423,6 +451,7 @@ int main(int argc, char** argv) {
         report.finish();
         report.set("stripes_per_sec", stripes_per_sec);
         report.set("heavyweight_sessions_per_sec", sessions_per_sec);
+        report.set("bfs_sources_per_sec", bfs_sources_per_sec);
         report.write(bench_out);
     }
     return 0;

@@ -1,24 +1,43 @@
 #include "net/paths.h"
 
 #include <algorithm>
-#include <deque>
+#include <stdexcept>
 
 namespace concilium::net {
 
+PathOracle::PathOracle(const Topology& topo) {
+    const std::size_t n = topo.router_count();
+    offsets_.reserve(n + 1);
+    edges_.reserve(2 * topo.link_count());
+    offsets_.push_back(0);
+    for (RouterId r = 0; r < n; ++r) {
+        const auto adj = topo.neighbors(r);
+        edges_.insert(edges_.end(), adj.begin(), adj.end());
+        offsets_.push_back(static_cast<std::uint32_t>(edges_.size()));
+    }
+}
+
 void PathOracle::bfs(RouterId src, std::vector<RouterId>& parent,
                      std::vector<LinkId>& via) const {
-    parent.assign(topo_->router_count(), kInvalidRouter);
-    via.assign(topo_->router_count(), kInvalidLink);
+    const std::size_t n = offsets_.size() - 1;
+    if (src >= n) throw std::out_of_range("PathOracle: source out of range");
+    parent.assign(n, kInvalidRouter);
+    via.assign(n, kInvalidLink);
+    std::vector<RouterId> queue(n);
+    std::size_t tail = 0;
     parent[src] = src;
-    std::deque<RouterId> queue{src};
-    while (!queue.empty()) {
-        const RouterId r = queue.front();
-        queue.pop_front();
-        for (const Topology::Edge& e : topo_->neighbors(r)) {
-            if (parent[e.neighbor] == kInvalidRouter) {
-                parent[e.neighbor] = r;
-                via[e.neighbor] = e.link;
-                queue.push_back(e.neighbor);
+    queue[tail++] = src;
+    for (std::size_t head = 0; head < tail; ++head) {
+        const RouterId r = queue[head];
+        for (std::uint32_t i = offsets_[r]; i < offsets_[r + 1]; ++i) {
+            const Topology::Edge e = edges_[i];
+            if (parent[e.neighbor] != kInvalidRouter) continue;
+            parent[e.neighbor] = r;
+            via[e.neighbor] = e.link;
+            // A degree-1 router's one neighbour is r, already found, so
+            // popping it would add nothing; FIFO order is unchanged.
+            if (offsets_[e.neighbor + 1] - offsets_[e.neighbor] > 1) {
+                queue[tail++] = e.neighbor;
             }
         }
     }
@@ -29,7 +48,7 @@ namespace {
 Path extract(RouterId src, RouterId dst, const std::vector<RouterId>& parent,
              const std::vector<LinkId>& via) {
     Path path;
-    if (dst == src || parent[dst] == kInvalidRouter) return path;
+    if (dst == src || parent.at(dst) == kInvalidRouter) return path;
     for (RouterId r = dst; r != src; r = parent[r]) {
         path.routers.push_back(r);
         path.links.push_back(via[r]);
@@ -71,7 +90,7 @@ std::vector<PathView> PathOracle::paths_into(RouterId src,
     std::vector<PathView> out;
     out.reserve(dsts.size());
     for (const RouterId dst : dsts) {
-        if (dst == src || parent[dst] == kInvalidRouter) {
+        if (dst == src || parent.at(dst) == kInvalidRouter) {
             out.push_back(PathView{});
             continue;
         }

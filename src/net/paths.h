@@ -5,9 +5,12 @@
 // (Section 3.2), so maps are computed rarely.  In the simulation the oracle
 // extracts exact shortest paths from the topology (BFS over unweighted links
 // with deterministic tie-breaking), playing the role of that stable map.
+// The oracle searches a flat (CSR) copy of the topology's adjacency taken at
+// construction; routers and links added later are not seen.
 
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,7 +48,9 @@ struct PathView {
 
 class PathOracle {
   public:
-    explicit PathOracle(const Topology& topo) : topo_(&topo) {}
+    /// Copies the topology's adjacency into CSR form, keeping each router's
+    /// edges in Topology order.  O(routers + links).
+    explicit PathOracle(const Topology& topo);
 
     /// Shortest path from src to dst.  Deterministic: ties break by
     /// adjacency-list order, which is fixed by construction order.
@@ -71,7 +76,9 @@ class PathOracle {
     void bfs(RouterId src, std::vector<RouterId>& parent,
              std::vector<LinkId>& via) const;
 
-    const Topology* topo_;
+    /// Router r's edges are edges_[offsets_[r], offsets_[r + 1]).
+    std::vector<std::uint32_t> offsets_;
+    std::vector<Topology::Edge> edges_;
 };
 
 }  // namespace concilium::net

@@ -14,7 +14,10 @@ Usage:
   check_spans.py compare A.json B.json
       Checks that the canonical sim sections are identical (the
       cross---jobs determinism guarantee).  Wall-section events are
-      wall-clock derived and deliberately ignored.
+      wall-clock derived and deliberately ignored.  Fails when either
+      trace dropped events (otherData.dropped > 0): once a ring has
+      overflowed, which events survive depends on which worker ran which
+      trial, so neither a match nor a mismatch means anything.
 
   check_spans.py tail TRACE.json [N]
       Prints the flight-recorder view: the last N (default 40) sim-clock
@@ -118,6 +121,11 @@ def validate(path, required):
 
 def compare(path_a, path_b):
     a, b = load(path_a), load(path_b)
+    for path, trace in ((path_a, a), (path_b, b)):
+        dropped = trace.get("otherData", {}).get("dropped", 0)
+        if dropped:
+            die(f"{path}: {dropped} events dropped (a span ring overflowed); "
+                f"the sim section is incomplete and cannot be compared")
     if canonical_sim(a) != canonical_sim(b):
         sa, sb = sim_events(a), sim_events(b)
         if len(sa) != len(sb):
